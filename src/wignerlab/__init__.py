@@ -14,10 +14,9 @@ from .diagnostics import (ExperimentReport, constraint_residual,
 from .errors import (ConfigurationError, ContractError, ResourceError,
                      SolverError, WignerlabError)
 from .operators import (VelocityMesh, WignerKernel, apply_A, apply_B,
-                        apply_theta, build_theta_kernel, build_velocity_mesh,
-                        materialize, operator_norm)
-from .potential import (PotentialProfile, barrier_profile, eval_potential,
-                        potential_difference)
+                        apply_theta, build_theta_kernel, materialize,
+                        operator_norm)
+from .potential import PotentialProfile, barrier_profile, potential_difference
 from .wigner_potential import QuadratureSpec, wigner_potential
 
 __version__ = "0.1.0"
@@ -29,10 +28,8 @@ __all__ = [
     "ConfigurationError", "ContractError", "ResourceError", "SolverError",
     "WignerlabError",
     "VelocityMesh", "WignerKernel", "apply_A", "apply_B", "apply_theta",
-    "build_theta_kernel", "build_velocity_mesh", "materialize",
-    "operator_norm",
-    "PotentialProfile", "barrier_profile", "eval_potential",
-    "potential_difference",
+    "build_theta_kernel", "materialize", "operator_norm",
+    "PotentialProfile", "barrier_profile", "potential_difference",
     "QuadratureSpec", "wigner_potential",
     "__version__",
 ]

@@ -18,7 +18,6 @@ dense bands.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import Callable
 
@@ -45,11 +44,14 @@ class SpatialMesh:
     n_x: int
 
     def __post_init__(self) -> None:
-        if self.n_x < 4:
+        if not (self.n_x >= 4 and self.n_x % 1 == 0):
             raise ConfigurationError(
-                f"N_x must be at least 4 for the upwind stencil, got {self.n_x}")
-        if not self.length > 0:
-            raise ConfigurationError("device length must be positive")
+                f"N_x must be an integer of at least 4 for the upwind "
+                f"stencil, got {self.n_x}")
+        if not 0 < self.length < np.inf:
+            raise ConfigurationError(
+                f"device length must be positive and finite, got "
+                f"{self.length}")
 
     @property
     def dx(self) -> float:
@@ -253,9 +255,3 @@ def solution_to_csv(sol: WignerSolution, target) -> None:
     finally:
         if own:
             fh.close()
-
-
-def solution_to_csv_text(sol: WignerSolution) -> str:
-    buf = io.StringIO()
-    solution_to_csv(sol, buf)
-    return buf.getvalue()

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +29,7 @@ from .bvp_solver import (BoundaryConditions, SpatialMesh, WignerSolution,
                          solution_to_csv, solve_bvp)
 from .diagnostics import ExperimentReport, constraint_residual, l2_error
 from .errors import ConfigurationError, SolverError, WignerlabError
-from .operators import (VelocityMesh, build_theta_kernel, build_velocity_mesh,
-                        operator_norm)
+from .operators import VelocityMesh, build_theta_kernel, operator_norm
 from .potential import PotentialProfile
 from .wigner_potential import QuadratureSpec
 
@@ -37,30 +37,71 @@ __all__ = ["RunConfig", "parse_config", "load_config", "main",
            "run_figure_comparison", "run_v_convergence", "run_x_convergence",
            "run_constraint_study", "run_solve", "run_norms"]
 
-_KNOWN_KEYS = {
-    "device_length", "segment", "default_V", "N_x", "N_v", "R_h", "Ly", "dy",
-    "inflow_left", "inflow_right", "scheme", "levels", "norm_position",
+# config key -> RunConfig field
+_FIELDS = {
+    "device_length": "device_length", "segment": "segments",
+    "default_V": "default_v", "N_x": "n_x", "N_v": "n_v", "R_h": "r_h",
+    "Ly": "l_y", "dy": "dy", "inflow_left": "inflow_left",
+    "inflow_right": "inflow_right", "scheme": "scheme", "levels": "levels",
+    "norm_position": "norm_position",
 }
 _REQUIRED_KEYS = {"N_x", "N_v", "R_h", "Ly", "dy"}
 
 
-@dataclass
+@dataclass(frozen=True, kw_only=True)
 class RunConfig:
-    """Validated experiment parameters shared by all subcommands."""
+    """Validated experiment parameters shared by all subcommands.
+
+    Construction checks every rule by building the mesh, quadrature and
+    potential objects that own it, so a config that exists is valid however
+    it was made.
+    """
 
     device_length: float = 50.0
     segments: tuple = ()
     default_v: float = 0.0
-    n_x: int = 0
-    n_v: int = 0
-    r_h: float = 0.0
-    l_y: float = 0.0
-    dy: float = 0.0
+    n_x: int
+    n_v: int
+    r_h: float
+    l_y: float
+    dy: float
     inflow_left: tuple[float, float, float] | None = None
     inflow_right: tuple[float, float, float] | None = None
     scheme: str = "both"
     levels: tuple = ()
     norm_position: float = 10.0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "segments",
+                           tuple(tuple(s) for s in self.segments))
+        object.__setattr__(self, "levels", tuple(self.levels))
+        for side in ("inflow_left", "inflow_right"):
+            spec = getattr(self, side)
+            if spec is None:
+                continue
+            spec = tuple(spec)
+            if len(spec) != 3 or not all(np.isfinite(spec)) or spec[2] <= 0:
+                raise ConfigurationError(
+                    f"{side} needs a finite amplitude, center and positive "
+                    f"width, got {spec}")
+            object.__setattr__(self, side, spec)
+        if not self.r_h > 0:
+            raise ConfigurationError(f"R_h must be positive, got {self.r_h}")
+        SpatialMesh(length=self.device_length, n_x=self.n_x)
+        VelocityMesh(n_v=self.n_v, h=self.h)
+        self.quad()
+        if not self.l_y < self.r_h:
+            raise ConfigurationError(
+                f"aliasing guard violated: need Ly < R_h, got Ly={self.l_y} "
+                f"and R_h={self.r_h}")
+        self.profile()
+        if self.scheme not in ("original", "improved", "both"):
+            raise ConfigurationError(
+                f"scheme must be original, improved or both, got "
+                f"{self.scheme!r}")
+        if not np.isfinite(self.norm_position):
+            raise ConfigurationError(
+                f"norm_position must be finite, got {self.norm_position}")
 
     @property
     def h(self) -> float:
@@ -92,7 +133,9 @@ def _number(token: str, lineno: int) -> float:
     scale = 1.0
     if token.endswith("pi"):
         scale = np.pi
-        token = token[:-2].strip() or "1"
+        token = token[:-2].strip()
+        if token in ("", "+", "-"):
+            token += "1"
     try:
         return float(token) * scale
     except ValueError:
@@ -102,17 +145,23 @@ def _number(token: str, lineno: int) -> float:
 
 def _integer(token: str, lineno: int) -> int:
     value = _number(token, lineno)
-    if value != int(value):
+    if not value.is_integer():
         raise ConfigurationError(f"line {lineno}: expected an integer, "
                                  f"got {token.strip()!r}")
     return int(value)
 
 
+def _triple(value: str, lineno: int, what: str) -> tuple:
+    parts = value.split(",")
+    if len(parts) != 3:
+        raise ConfigurationError(f"line {lineno}: {what}")
+    return tuple(_number(p, lineno) for p in parts)
+
+
 def parse_config(text: str) -> RunConfig:
-    """Parse and validate a config file; unknown keys are rejected."""
-    cfg = RunConfig()
+    """Parse a config file into a `RunConfig`; unknown keys are rejected."""
+    fields = {}
     segments = []
-    seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -123,61 +172,28 @@ def parse_config(text: str) -> RunConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in _FIELDS:
             raise ConfigurationError(f"line {lineno}: unknown key {key!r}")
-        seen.add(key)
-        if key == "device_length":
-            cfg.device_length = _number(value, lineno)
-        elif key == "segment":
-            parts = value.split(",")
-            if len(parts) != 3:
-                raise ConfigurationError(
-                    f"line {lineno}: segment needs 'a,b,value'")
-            segments.append(tuple(_number(p, lineno) for p in parts))
-        elif key == "default_V":
-            cfg.default_v = _number(value, lineno)
-        elif key == "N_x":
-            cfg.n_x = _integer(value, lineno)
-        elif key == "N_v":
-            cfg.n_v = _integer(value, lineno)
-            if cfg.n_v % 2 != 0:
-                raise ConfigurationError(
-                    f"line {lineno}: N_v must be even, got {cfg.n_v}")
-        elif key == "R_h":
-            cfg.r_h = _number(value, lineno)
-        elif key == "Ly":
-            cfg.l_y = _number(value, lineno)
-        elif key == "dy":
-            cfg.dy = _number(value, lineno)
+        if key == "segment":
+            segments.append(_triple(value, lineno, "segment needs 'a,b,value'"))
+            continue
+        if key in ("N_x", "N_v"):
+            parsed = _integer(value, lineno)
         elif key in ("inflow_left", "inflow_right"):
-            parts = value.split(",")
-            if len(parts) != 3:
-                raise ConfigurationError(
-                    f"line {lineno}: {key} needs 'amplitude,center,width'")
-            setattr(cfg, key, tuple(_number(p, lineno) for p in parts))
+            parsed = _triple(value, lineno,
+                             f"{key} needs 'amplitude,center,width'")
         elif key == "scheme":
-            if value not in ("original", "improved", "both"):
-                raise ConfigurationError(
-                    f"line {lineno}: scheme must be original, improved or "
-                    f"both, got {value!r}")
-            cfg.scheme = value
+            parsed = value
         elif key == "levels":
-            cfg.levels = tuple(_integer(p, lineno) for p in value.split(","))
-        elif key == "norm_position":
-            cfg.norm_position = _number(value, lineno)
-    missing = _REQUIRED_KEYS - seen
+            parsed = tuple(_integer(p, lineno) for p in value.split(","))
+        else:
+            parsed = _number(value, lineno)
+        fields[_FIELDS[key]] = parsed
+    missing = {k for k in _REQUIRED_KEYS if _FIELDS[k] not in fields}
     if missing:
         raise ConfigurationError(
             f"missing required keys: {', '.join(sorted(missing))}")
-    cfg.segments = tuple(segments)
-    if cfg.r_h <= 0:
-        raise ConfigurationError("R_h must be positive")
-    if not cfg.l_y < cfg.r_h:
-        raise ConfigurationError(
-            f"aliasing guard violated: need Ly < R_h, got Ly={cfg.l_y} "
-            f"and R_h={cfg.r_h}")
-    cfg.quad()  # validates Ly/dy integrality
-    return cfg
+    return RunConfig(segments=tuple(segments), **fields)
 
 
 def load_config(path) -> RunConfig:
@@ -190,18 +206,35 @@ def _schemes(cfg: RunConfig, override: str | None) -> list[str]:
 
 
 def _solve_one(cfg: RunConfig, scheme: str, n_x: int | None = None,
-               n_v: int | None = None, r_h: float | None = None,
-               l_y: float | None = None) -> WignerSolution:
+               n_v: int | None = None,
+               r_h: float | None = None) -> WignerSolution:
     smesh = SpatialMesh(length=cfg.device_length, n_x=n_x or cfg.n_x)
-    h = 1.0 / (2 * (r_h or cfg.r_h))
-    vmesh = build_velocity_mesh(n_v or cfg.n_v, h)
-    quad = QuadratureSpec(l_y=l_y or cfg.l_y, dy=cfg.dy)
-    if not quad.l_y < vmesh.r_h:
-        raise ConfigurationError(
-            f"aliasing guard violated: need Ly < R_h, got Ly={quad.l_y} "
-            f"and R_h={vmesh.r_h}")
-    return solve_bvp(cfg.profile(), smesh, vmesh, quad, scheme,
+    vmesh = VelocityMesh(n_v or cfg.n_v, 1.0 / (2 * (r_h or cfg.r_h)))
+    return solve_bvp(cfg.profile(), smesh, vmesh, cfg.quad(), scheme,
                      cfg.boundary_conditions())
+
+
+@lru_cache(maxsize=2)
+def _velocity_sweep(cfg: RunConfig, scheme: str) -> tuple:
+    """Solutions at each velocity level, coarse to fine, at the fixed window
+    R_h = N_v/2.
+
+    Cached on the config, so `conv-v` and `constraint` on one config share
+    their solves.
+    """
+    levels = cfg.levels or (64, 128, 256, 512, 1024)
+    if len(levels) < 2:
+        raise ConfigurationError("need at least two refinement levels")
+    return tuple(_solve_one(cfg, scheme, n_v=n_v, r_h=n_v / 2)
+                 for n_v in levels)
+
+
+def _velocity_sweeps(cfg: RunConfig, schemes) -> tuple[list, dict]:
+    """The sweep's N_v levels and its solutions per scheme."""
+    sweeps = {scheme: _velocity_sweep(cfg, scheme)
+              for scheme in schemes or _schemes(cfg, None)}
+    some = next(iter(sweeps.values()))
+    return [sol.vmesh.n_v for sol in some], sweeps
 
 
 # --------------------------------------------------------------------------
@@ -298,15 +331,10 @@ def run_v_convergence(cfg: RunConfig, out_dir: Path, schemes=None,
     """Velocity refinement sweep at fixed window: R_h = N_v/2 per level,
     errors against the finest level."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    levels = list(cfg.levels) or [64, 128, 256, 512, 1024]
-    if len(levels) < 2:
-        raise ConfigurationError("need at least two refinement levels")
-    schemes = schemes or _schemes(cfg, None)
+    levels, sweeps = _velocity_sweeps(cfg, schemes)
     report = ExperimentReport(axis="velocity",
                               metadata={"interp": interp, "levels": levels})
-    for scheme in schemes:
-        sols = [_solve_one(cfg, scheme, n_v=n_v, r_h=n_v / 2)
-                for n_v in levels]
+    for scheme, sols in sweeps.items():
         errors = [l2_error(sol, sols[-1], method=interp)
                   for sol in sols[:-1]]
         report.add_scheme(scheme, levels[:-1], errors)
@@ -336,16 +364,14 @@ def run_constraint_study(cfg: RunConfig, out_dir: Path,
                          schemes=None) -> ExperimentReport:
     """Constraint residual S over the velocity refinement sweep."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    levels = list(cfg.levels) or [64, 128, 256, 512, 1024]
-    schemes = schemes or _schemes(cfg, None)
+    levels, sweeps = _velocity_sweeps(cfg, schemes)
     profile = cfg.profile()
     quad = cfg.quad()
     report = ExperimentReport(axis="velocity", metadata={"levels": levels,
                                                          "quantity": "S"})
-    for scheme in schemes:
+    for scheme, sols in sweeps.items():
         residuals = []
-        for n_v in levels:
-            sol = _solve_one(cfg, scheme, n_v=n_v, r_h=n_v / 2)
+        for sol in sols:
             kernels = [build_theta_kernel(profile, x, sol.vmesh, quad)
                        for x in sol.smesh.nodes]
             residuals.append(constraint_residual(sol, kernels))
@@ -380,7 +406,7 @@ def run_norms(cfg: RunConfig, out_dir: Path) -> list[dict]:
     quad = cfg.quad()
     rows = []
     for r_h in levels:
-        vmesh = build_velocity_mesh(int(2 * r_h), 1.0 / (2 * r_h))
+        vmesh = VelocityMesh(int(2 * r_h), 1.0 / (2 * r_h))
         kernel = build_theta_kernel(profile, cfg.norm_position, vmesh, quad)
         rows.append({
             "r_h": r_h,
@@ -411,8 +437,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True)
         p.add_argument("--out", default="out")
         p.add_argument("--scheme", choices=("original", "improved", "both"))
-        p.add_argument("--interp", choices=("sinc", "linear"),
-                       default="linear")
+        if name == "conv-v":
+            p.add_argument("--interp", choices=("sinc", "linear"),
+                           default="linear")
     return parser
 
 

@@ -28,9 +28,9 @@ from .errors import ConfigurationError, ContractError, ResourceError
 from .potential import PotentialProfile
 from .wigner_potential import QuadratureSpec, wigner_potential
 
-__all__ = ["VelocityMesh", "WignerKernel", "build_velocity_mesh",
-           "build_theta_kernel", "apply_theta", "apply_A", "apply_B",
-           "materialize", "operator_norm"]
+__all__ = ["VelocityMesh", "WignerKernel", "build_theta_kernel",
+           "apply_theta", "apply_A", "apply_B", "materialize",
+           "operator_norm"]
 
 _NORM_SIZE_GUARD = 4096
 
@@ -46,8 +46,9 @@ class VelocityMesh:
         if self.n_v < 2 or self.n_v % 2 != 0:
             raise ConfigurationError(
                 f"N_v must be even and >= 2, got {self.n_v}")
-        if not self.h > 0:
-            raise ConfigurationError(f"h must be positive, got {self.h}")
+        if not 0 < self.h < np.inf:
+            raise ConfigurationError(
+                f"h must be positive and finite, got {self.h}")
 
     @property
     def dv(self) -> float:
@@ -78,10 +79,6 @@ class WignerKernel:
     shift: np.ndarray
     mesh: VelocityMesh
     quad: QuadratureSpec
-
-
-def build_velocity_mesh(n_v: int, h: float) -> VelocityMesh:
-    return VelocityMesh(n_v=n_v, h=h)
 
 
 @lru_cache(maxsize=4096)
@@ -176,12 +173,9 @@ def materialize(kernel: WignerKernel, which: str) -> np.ndarray:
     raise ContractError(f"unknown operator {which!r}")
 
 
-def operator_norm(kernel: WignerKernel, which: str,
-                  method: str = "exact") -> float:
-    """Spectral norm (2-norm) of the dense materialization of theta, A or B.
-
-    method='exact' uses a full singular value decomposition; method='power'
-    runs power iteration on O^T O from a fixed seed to relative 1e-8.
+def operator_norm(kernel: WignerKernel, which: str) -> float:
+    """Spectral norm (2-norm) of the dense materialization of theta, A or B,
+    from a full singular value decomposition.
 
     Under mesh refinement (h -> 0 with the window fixed) the three norms
     behave differently: |theta|_2 <= 2 max|V|; |B|_2 stays uniformly
@@ -191,24 +185,4 @@ def operator_norm(kernel: WignerKernel, which: str,
         raise ResourceError(
             f"operator_norm materializes densely; N_v={kernel.mesh.n_v} "
             f"exceeds the guard {_NORM_SIZE_GUARD}")
-    op = materialize(kernel, which)
-    if method == "exact":
-        return float(np.linalg.norm(op, 2))
-    if method != "power":
-        raise ContractError(f"unknown method {method!r}")
-    gram = op.T @ op
-    rng = np.random.default_rng(20260824)
-    z = rng.standard_normal(op.shape[1])
-    z /= np.linalg.norm(z)
-    lam = 0.0
-    for _ in range(10000):
-        w = gram @ z
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        z = w / nw
-        if abs(nw - lam) <= 1e-8 * max(nw, 1e-300):
-            lam = nw
-            break
-        lam = nw
-    return float(np.sqrt(lam))
+    return float(np.linalg.norm(materialize(kernel, which), 2))

@@ -11,12 +11,13 @@ which vanishes identically for constant potentials and is odd in y.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["PotentialProfile", "barrier_profile", "eval_potential",
-           "potential_difference"]
+from .errors import ConfigurationError
+
+__all__ = ["PotentialProfile", "barrier_profile", "potential_difference"]
 
 
 @dataclass(frozen=True)
@@ -41,11 +42,14 @@ class PotentialProfile:
 
     def __post_init__(self) -> None:
         segs = tuple((float(a), float(b), float(v)) for a, b, v in self.segments)
-        for a, b, _ in segs:
-            if not (np.isfinite(a) and np.isfinite(b) and a <= b):
-                raise ValueError(f"malformed segment interval ({a}, {b})")
-        if self.device_length <= 0:
-            raise ValueError("device_length must be positive")
+        for a, b, v in segs:
+            if not (np.all(np.isfinite((a, b, v))) and a <= b):
+                raise ConfigurationError(f"malformed segment ({a}, {b}, {v})")
+        if not np.isfinite(self.default_value):
+            raise ConfigurationError(
+                f"non-finite default value {self.default_value}")
+        if not self.device_length > 0:
+            raise ConfigurationError("device_length must be positive")
         object.__setattr__(self, "segments", segs)
 
     @property
@@ -87,11 +91,6 @@ def barrier_profile(height: float = 0.2, half_width: float = 1.5,
         segments=((-half_width, half_width, height),),
         device_length=device_length,
     )
-
-
-def eval_potential(profile: PotentialProfile, x) -> np.ndarray:
-    """Evaluate V(x); total on the real line."""
-    return profile(x)
 
 
 def potential_difference(profile: PotentialProfile, x, y) -> np.ndarray:

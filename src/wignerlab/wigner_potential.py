@@ -41,7 +41,8 @@ class QuadratureSpec:
                 f"quadrature parameters must be positive, got "
                 f"L_y={self.l_y}, dy={self.dy}")
         ratio = self.l_y / self.dy
-        if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
+        if (not np.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9
+                or round(ratio) < 1):
             raise ConfigurationError(
                 f"L_y/dy must be a positive integer, got "
                 f"{self.l_y}/{self.dy} = {ratio}")

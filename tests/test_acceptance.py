@@ -16,9 +16,8 @@ from wignerlab.cli import (RunConfig, load_config, run_constraint_study,
                            run_figure_comparison, run_norms,
                            run_v_convergence, run_x_convergence)
 from wignerlab.diagnostics import convergence_order
-from wignerlab.operators import (apply_A, apply_B, apply_theta,
-                                 build_theta_kernel, build_velocity_mesh,
-                                 materialize)
+from wignerlab.operators import (VelocityMesh, apply_A, apply_B,
+                                 apply_theta, build_theta_kernel, materialize)
 from wignerlab.potential import PotentialProfile, barrier_profile
 from wignerlab.wigner_potential import QuadratureSpec, wigner_potential
 
@@ -195,7 +194,7 @@ def test_criterion_6_dense_oracles():
     for n_x in (4, 6):
         for n_v in (4, 8, 16):
             smesh = SpatialMesh(length=50.0, n_x=n_x)
-            vmesh = build_velocity_mesh(n_v, 1 / 32)
+            vmesh = VelocityMesh(n_v, 1 / 32)
             for scheme in ("original", "improved"):
                 system = assemble_system(barrier, smesh, vmesh, quad,
                                          scheme, bc)
@@ -216,7 +215,7 @@ def test_criterion_6_dense_oracles():
 def test_criterion_6_fft_vs_naive():
     barrier = barrier_profile()
     quad = QuadratureSpec(l_y=16, dy=0.5)
-    mesh = build_velocity_mesh(64, 1 / 256)
+    mesh = VelocityMesh(64, 1 / 256)
     kernel = build_theta_kernel(barrier, 10.0, mesh, quad)
     rng = np.random.default_rng(42)
     worst = 0.0
@@ -239,7 +238,7 @@ def test_criterion_6_fft_vs_naive():
 def test_criterion_7_exact_invariants():
     barrier = barrier_profile()
     quad = QuadratureSpec(l_y=8, dy=0.5)
-    mesh = build_velocity_mesh(32, 1 / 64)
+    mesh = VelocityMesh(32, 1 / 64)
     kernel = build_theta_kernel(barrier, 7.3, mesh, quad)
     m = materialize(kernel, "M")
     skew = np.abs(m + m.T).max()

@@ -7,7 +7,7 @@ from wignerlab.bvp_solver import (BoundaryConditions, SpatialMesh,
                                   assemble_system, solution_to_csv, solve,
                                   solve_bvp)
 from wignerlab.errors import ConfigurationError
-from wignerlab.operators import build_velocity_mesh
+from wignerlab.operators import VelocityMesh
 from wignerlab.potential import PotentialProfile, barrier_profile
 from wignerlab.wigner_potential import QuadratureSpec
 
@@ -105,7 +105,7 @@ def test_spatial_mesh_guard():
 def test_unknown_scheme_rejected(barrier, quad):
     with pytest.raises(ConfigurationError):
         assemble_system(barrier, SpatialMesh(50, 6),
-                        build_velocity_mesh(4, 1 / 32), quad, "fancy",
+                        VelocityMesh(4, 1 / 32), quad, "fancy",
                         gaussian_bc())
 
 
@@ -114,7 +114,7 @@ def test_unknown_scheme_rejected(barrier, quad):
 def test_constant_potential_is_pure_transport(quad, scheme, level):
     profile = PotentialProfile(segments=(), default_value=level)
     smesh = SpatialMesh(length=50, n_x=8)
-    vmesh = build_velocity_mesh(8, 1 / 32)
+    vmesh = VelocityMesh(8, 1 / 32)
     bc = gaussian_bc()
     sol = solve_bvp(profile, smesh, vmesh, quad, scheme, bc)
     v = vmesh.nodes
@@ -126,7 +126,7 @@ def test_constant_potential_is_pure_transport(quad, scheme, level):
 @pytest.mark.parametrize("scheme", ["original", "improved"])
 def test_assembly_matches_brute_force(barrier, quad, scheme):
     smesh = SpatialMesh(length=50, n_x=4)
-    vmesh = build_velocity_mesh(4, 1 / 32)
+    vmesh = VelocityMesh(4, 1 / 32)
     bc = gaussian_bc()
     system = assemble_system(barrier, smesh, vmesh, quad, scheme, bc)
     want_mat, want_rhs = brute_force_dense(barrier, smesh, vmesh, quad,
@@ -138,7 +138,7 @@ def test_assembly_matches_brute_force(barrier, quad, scheme):
 @pytest.mark.parametrize("scheme", ["original", "improved"])
 def test_solve_matches_dense_solve(barrier, quad, scheme):
     smesh = SpatialMesh(length=50, n_x=6)
-    vmesh = build_velocity_mesh(4, 1 / 32)
+    vmesh = VelocityMesh(4, 1 / 32)
     system = assemble_system(barrier, smesh, vmesh, quad, scheme,
                              gaussian_bc())
     sol = solve(system)
@@ -149,7 +149,7 @@ def test_solve_matches_dense_solve(barrier, quad, scheme):
 
 def test_schemes_differ_by_rank_one_coupling(barrier, quad):
     smesh = SpatialMesh(length=50, n_x=6)
-    vmesh = build_velocity_mesh(8, 1 / 32)
+    vmesh = VelocityMesh(8, 1 / 32)
     bc = gaussian_bc()
     orig = assemble_system(barrier, smesh, vmesh, quad, "original", bc)
     impr = assemble_system(barrier, smesh, vmesh, quad, "improved", bc)
@@ -169,7 +169,7 @@ def test_schemes_differ_by_rank_one_coupling(barrier, quad):
 
 def test_solution_linear_in_inflow(barrier, quad):
     smesh = SpatialMesh(length=50, n_x=8)
-    vmesh = build_velocity_mesh(8, 1 / 32)
+    vmesh = VelocityMesh(8, 1 / 32)
     bc1 = gaussian_bc()
     bc2 = BoundaryConditions(f_left=lambda v: 2 * bc1.f_left(v),
                              f_right=lambda v: 2 * bc1.f_right(v))
@@ -181,14 +181,14 @@ def test_solution_linear_in_inflow(barrier, quad):
 
 def test_residual_reported_and_small(barrier, quad):
     smesh = SpatialMesh(length=50, n_x=10)
-    vmesh = build_velocity_mesh(16, 1 / 64)
+    vmesh = VelocityMesh(16, 1 / 64)
     sol = solve_bvp(barrier, smesh, vmesh, quad, "original", gaussian_bc())
     assert 0 <= sol.residual <= 1e-10
 
 
 def test_boundary_rows_hold_inflow_exactly(barrier, quad):
     smesh = SpatialMesh(length=50, n_x=8)
-    vmesh = build_velocity_mesh(8, 1 / 32)
+    vmesh = VelocityMesh(8, 1 / 32)
     bc = gaussian_bc()
     sol = solve_bvp(barrier, smesh, vmesh, quad, "improved", bc)
     v = vmesh.nodes
@@ -198,7 +198,7 @@ def test_boundary_rows_hold_inflow_exactly(barrier, quad):
 
 def test_csv_round_trip(barrier, quad):
     smesh = SpatialMesh(length=50, n_x=4)
-    vmesh = build_velocity_mesh(4, 1 / 32)
+    vmesh = VelocityMesh(4, 1 / 32)
     sol = solve_bvp(barrier, smesh, vmesh, quad, "improved", gaussian_bc())
     buf = io.StringIO()
     solution_to_csv(sol, buf)

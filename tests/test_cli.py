@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import wignerlab.cli as cli
 from wignerlab.cli import (RunConfig, load_config, main, parse_config,
-                           run_figure_comparison, run_norms, run_solve)
+                           run_constraint_study, run_figure_comparison,
+                           run_norms, run_solve, run_v_convergence)
 from wignerlab.errors import ConfigurationError, SolverError
 
 FIGURE_TEXT = """\
@@ -44,6 +47,8 @@ class TestParseConfig:
     def test_pi_suffix(self):
         cfg = parse_config(TINY_TEXT + "inflow_right = 1, 0.5pi, 0.25\n")
         assert cfg.inflow_right[1] == pytest.approx(0.5 * np.pi)
+        cfg = parse_config(TINY_TEXT + "inflow_right = 1, -pi, 0.25\n")
+        assert cfg.inflow_right[1] == -np.pi
 
     def test_odd_nv_rejected(self):
         with pytest.raises(ConfigurationError) as err:
@@ -164,3 +169,117 @@ class TestRunners:
         cfg = parse_config(TINY_TEXT + "levels = 8\n")
         with pytest.raises(ConfigurationError):
             run_v_convergence(cfg, tmp_path)
+
+
+TINY_FIELDS = dict(segments=((-1.5, 1.5, 0.2),), n_x=6, n_v=8, r_h=16,
+                   l_y=8, dy=1.0, inflow_left=(1.0, 0.5, 0.25))
+
+
+class TestValidation:
+    @pytest.mark.parametrize("line", [
+        "N_x = inf",
+        "N_x = nan",
+        "segment = 1, 0, 0.2",
+        "segment = 0, nan, 0.2",
+        "inflow_left = 1.0, 0.5pi, 0",
+        "inflow_left = 1.0, 0.5, -0.25",
+        "inflow_left = nan, 0.5, 0.25",
+        "inflow_right = 1.0, inf, 0.25",
+    ])
+    def test_bad_config_exits_with_configuration_error(self, tmp_path, capsys,
+                                                       line):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(TINY_TEXT + line + "\n")
+        code = main(["solve", "--config", str(bad), "--out",
+                     str(tmp_path / "out")])
+        assert code == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value", [
+        ("n_x", float("inf")), ("n_x", float("nan")), ("n_x", 3),
+        ("n_x", 6.5), ("n_v", 7), ("n_v", float("nan")), ("r_h", 0.0),
+        ("r_h", float("nan")), ("l_y", 40.0), ("l_y", float("nan")),
+        ("dy", 0.0), ("dy", 3.0), ("device_length", 0.0),
+        ("device_length", float("inf")), ("segments", ((1.0, 0.0, 0.2),)),
+        ("segments", ((0.0, float("nan"), 0.2),)),
+        ("default_v", float("nan")), ("inflow_left", (1.0, 0.5, 0.0)),
+        ("inflow_left", (1.0, 0.5, -1.0)),
+        ("inflow_right", (float("nan"), 0.0, 1.0)), ("scheme", "wrong"),
+        ("norm_position", float("inf")),
+    ])
+    def test_direct_construction_validates(self, field, value):
+        RunConfig(**TINY_FIELDS)
+        with pytest.raises(ConfigurationError):
+            RunConfig(**{**TINY_FIELDS, field: value})
+
+    def test_fields_become_tuples(self):
+        cfg = RunConfig(**{**TINY_FIELDS, "segments": [[-1.5, 1.5, 0.2]],
+                           "levels": [4, 8], "inflow_left": [1.0, 0.5, 0.25]})
+        assert cfg.segments == ((-1.5, 1.5, 0.2),)
+        assert cfg.levels == (4, 8)
+        assert cfg.inflow_left == (1.0, 0.5, 0.25)
+        assert cfg == parse_config(TINY_TEXT + "levels = 4, 8\n")
+        hash(cfg)
+
+    _token = st.one_of(
+        st.sampled_from(["pi", "-pi", "+pi", "0.5pi", "- pi", "nan", "inf",
+                         "-inf", "1e400", "0", "-1", "", "-", "both", "x"]),
+        st.floats().map(repr), st.integers(-10, 300).map(str),
+        st.text(max_size=4))
+    _value = st.one_of(
+        _token, st.lists(_token, min_size=3, max_size=3).map(", ".join),
+        st.lists(_token, max_size=5).map(", ".join))
+    _line = st.one_of(
+        st.tuples(st.sampled_from(sorted(cli._FIELDS) + ["N_z"]), _value)
+        .map(" = ".join),
+        st.text(max_size=20))
+
+    @settings(max_examples=500, deadline=None)
+    @given(base=st.sampled_from(["", TINY_TEXT]),
+           lines=st.lists(_line, max_size=6))
+    def test_any_text_gives_config_or_configuration_error(self, base, lines):
+        try:
+            cfg = parse_config(base + "\n".join(lines) + "\n")
+        except ConfigurationError:
+            return
+        assert isinstance(cfg, RunConfig)
+
+
+class TestSharedSweep:
+    def test_conv_v_and_constraint_share_one_solve_per_level(self, tmp_path,
+                                                             monkeypatch):
+        # N_x = 10 puts a node at x = 5, inside the kernel's reach of the
+        # barrier, so S is nonzero and the byte comparison has content.
+        cfg = parse_config(TINY_TEXT.replace("N_x = 6", "N_x = 10")
+                           + "levels = 32, 64, 128\n")
+        calls = []
+        solve_bvp = cli.solve_bvp
+
+        def counting(profile, smesh, vmesh, quad, scheme, bc):
+            calls.append((scheme, vmesh.n_v))
+            return solve_bvp(profile, smesh, vmesh, quad, scheme, bc)
+
+        monkeypatch.setattr(cli, "solve_bvp", counting)
+        cli._velocity_sweep.cache_clear()
+        run_v_convergence(cfg, tmp_path / "conv")
+        report = run_constraint_study(cfg, tmp_path / "shared")
+        assert all(row[1] > 0 for rows in report.rows.values()
+                   for row in rows)
+        expected = [(s, n_v) for s in ("original", "improved")
+                    for n_v in (32, 64, 128)]
+        assert calls == expected
+
+        cli._velocity_sweep.cache_clear()
+        run_constraint_study(cfg, tmp_path / "fresh")
+        assert calls == expected * 2
+        shared = (tmp_path / "shared" / "report.csv").read_bytes()
+        assert shared == (tmp_path / "fresh" / "report.csv").read_bytes()
+
+
+def test_interp_only_on_conv_v(tmp_path, capsys):
+    cfg_file = tmp_path / "ok.cfg"
+    cfg_file.write_text(TINY_TEXT)
+    with pytest.raises(SystemExit):
+        main(["solve", "--config", str(cfg_file), "--out",
+              str(tmp_path / "out"), "--interp", "sinc"])
+    assert "unrecognized arguments: --interp" in capsys.readouterr().err

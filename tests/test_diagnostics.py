@@ -7,14 +7,14 @@ from wignerlab.diagnostics import (ExperimentReport, constraint_residual,
                                    convergence_order, l2_error,
                                    resample_half_lines, sinc_resample)
 from wignerlab.errors import ContractError
-from wignerlab.operators import build_theta_kernel, build_velocity_mesh
+from wignerlab.operators import VelocityMesh, build_theta_kernel
 from wignerlab.potential import PotentialProfile, barrier_profile
 from wignerlab.wigner_potential import QuadratureSpec
 
 
 def make_solution(n_x=8, n_v=8, h=1 / 32, values=None, length=50.0):
     smesh = SpatialMesh(length=length, n_x=n_x)
-    vmesh = build_velocity_mesh(n_v, h)
+    vmesh = VelocityMesh(n_v, h)
     if values is None:
         values = np.zeros((n_x + 1, n_v))
     return WignerSolution(smesh=smesh, vmesh=vmesh, values=values,
@@ -57,7 +57,7 @@ class TestL2Error:
         # reference twice as fine in x; values sampled from a smooth function
         def fill(n_x, n_v, h):
             smesh = SpatialMesh(length=50.0, n_x=n_x)
-            vmesh = build_velocity_mesh(n_v, h)
+            vmesh = VelocityMesh(n_v, h)
             vals = np.cos(smesh.nodes)[:, None] * np.exp(
                 -vmesh.nodes**2)[None, :]
             return make_solution(n_x=n_x, n_v=n_v, h=h, values=vals)
@@ -72,14 +72,14 @@ class TestL2Error:
         def f(v):
             return np.where(v > 0, 1.0 + 2 * v, -3.0 + 0.5 * v)
 
-        coarse = build_velocity_mesh(8, 1 / 8)
-        fine = build_velocity_mesh(32, 1 / 32)
+        coarse = VelocityMesh(8, 1 / 8)
+        fine = VelocityMesh(32, 1 / 32)
         rows = f(coarse.nodes)[None, :]
         out = resample_half_lines(coarse.nodes, rows, fine.nodes)
         np.testing.assert_allclose(out[0], f(fine.nodes), rtol=1e-13)
 
     def test_sinc_resampling_reproduces_source_nodes(self):
-        mesh = build_velocity_mesh(16, 1 / 16)
+        mesh = VelocityMesh(16, 1 / 16)
         rows = np.random.default_rng(2).random((3, 16))
         out = sinc_resample(mesh.nodes, mesh.dv, rows, mesh.nodes)
         np.testing.assert_allclose(out, rows, atol=1e-12)
@@ -138,7 +138,7 @@ class TestConstraintResidual:
 
     def test_mesh_mismatch_rejected(self):
         sol = make_solution()
-        other = build_velocity_mesh(8, 1 / 64)
+        other = VelocityMesh(8, 1 / 64)
         kernels = [build_theta_kernel(self.barrier, x, other, self.quad)
                    for x in sol.smesh.nodes]
         with pytest.raises(ContractError):

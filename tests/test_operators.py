@@ -3,9 +3,9 @@ import pytest
 
 from wignerlab.errors import (ConfigurationError, ContractError,
                               ResourceError)
-from wignerlab.operators import (apply_A, apply_B, apply_theta,
-                                 build_theta_kernel, build_velocity_mesh,
-                                 materialize, operator_norm)
+from wignerlab.operators import (VelocityMesh, apply_A, apply_B,
+                                 apply_theta, build_theta_kernel, materialize,
+                                 operator_norm)
 from wignerlab.potential import PotentialProfile, barrier_profile
 from wignerlab.wigner_potential import QuadratureSpec, wigner_potential
 
@@ -21,29 +21,29 @@ def quad():
 
 
 def kernel_at(barrier, quad, x=10.0, n_v=8, h=1 / 16):
-    return build_theta_kernel(barrier, x, build_velocity_mesh(n_v, h), quad)
+    return build_theta_kernel(barrier, x, VelocityMesh(n_v, h), quad)
 
 
 class TestVelocityMesh:
     def test_tiny_mesh_nodes(self):
-        mesh = build_velocity_mesh(4, 1 / (2 * np.pi))
+        mesh = VelocityMesh(4, 1 / (2 * np.pi))
         np.testing.assert_allclose(mesh.nodes, [-1.5, -0.5, 0.5, 1.5])
         assert mesh.dv == pytest.approx(1.0)
         assert mesh.r_h == pytest.approx(np.pi)
 
     def test_window_inside_pi(self):
-        mesh = build_velocity_mesh(64, 1 / 64)
+        mesh = VelocityMesh(64, 1 / 64)
         assert mesh.r_h == 32
         assert mesh.dv == pytest.approx(np.pi / 32)
         assert np.all(np.abs(mesh.nodes) < np.pi)
 
     def test_fine_mesh(self):
-        mesh = build_velocity_mesh(128, 1 / 4096)
+        mesh = VelocityMesh(128, 1 / 4096)
         assert mesh.r_h == 2048
         assert mesh.dv == pytest.approx(np.pi / 2048)
 
     def test_nodes_never_zero_and_symmetric(self):
-        mesh = build_velocity_mesh(32, 0.013)
+        mesh = VelocityMesh(32, 0.013)
         v = mesh.nodes
         assert np.all(v != 0.0)
         assert np.all(np.diff(v) > 0)
@@ -52,15 +52,15 @@ class TestVelocityMesh:
 
     def test_invalid_meshes_rejected(self):
         with pytest.raises(ConfigurationError):
-            build_velocity_mesh(7, 0.1)
+            VelocityMesh(7, 0.1)
         with pytest.raises(ConfigurationError):
-            build_velocity_mesh(0, 0.1)
+            VelocityMesh(0, 0.1)
         with pytest.raises(ConfigurationError):
-            build_velocity_mesh(8, -0.1)
+            VelocityMesh(8, -0.1)
 
 
 def test_aliasing_guard_names_both_quantities(barrier):
-    mesh = build_velocity_mesh(8, 1 / 16)  # R_h = 8
+    mesh = VelocityMesh(8, 1 / 16)  # R_h = 8
     with pytest.raises(ConfigurationError) as err:
         build_theta_kernel(barrier, 0.0, mesh, QuadratureSpec(l_y=31, dy=0.5))
     assert "31" in str(err.value) and "8" in str(err.value)
@@ -105,7 +105,6 @@ def test_zero_potential_kernel(quad):
     np.testing.assert_array_equal(apply_A(kernel, f), 0.0)
     np.testing.assert_array_equal(apply_B(kernel, f), 0.0)
     assert operator_norm(kernel, "theta") == 0.0
-    assert operator_norm(kernel, "theta", method="power") == 0.0
 
 
 @pytest.mark.parametrize("n_v", [4, 8, 64, 256])
@@ -154,16 +153,8 @@ def test_theta_norm_bounded_by_twice_potential(barrier, quad):
         assert operator_norm(kernel, "theta") <= 2 * barrier.max_abs + 1e-8
 
 
-def test_power_iteration_matches_svd(barrier, quad):
-    kernel = kernel_at(barrier, quad, n_v=64, h=1 / 256)
-    for which in ("theta", "A", "B"):
-        exact = operator_norm(kernel, which, method="exact")
-        power = operator_norm(kernel, which, method="power")
-        assert power == pytest.approx(exact, rel=1e-6)
-
-
 def test_norm_guard(barrier):
-    mesh = build_velocity_mesh(8192, 1 / 8192)
+    mesh = VelocityMesh(8192, 1 / 8192)
     kernel = build_theta_kernel(barrier, 10.0, mesh,
                                 QuadratureSpec(l_y=4, dy=0.5))
     with pytest.raises(ResourceError):

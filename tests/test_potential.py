@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from wignerlab.errors import ConfigurationError
 from wignerlab.potential import (PotentialProfile, barrier_profile,
-                                 eval_potential, potential_difference)
+                                 potential_difference)
 
 
 @pytest.fixture
@@ -12,23 +13,23 @@ def barrier():
 
 
 def test_barrier_value_inside(barrier):
-    assert eval_potential(barrier, 0.0) == 0.2
+    assert barrier(0.0) == 0.2
 
 
 def test_barrier_value_outside(barrier):
-    assert eval_potential(barrier, 10.0) == 0.0
+    assert barrier(10.0) == 0.0
 
 
 def test_empty_profile_is_default():
     profile = PotentialProfile(segments=())
-    assert eval_potential(profile, 3.7) == 0.0
+    assert profile(3.7) == 0.0
     profile = PotentialProfile(segments=(), default_value=0.3)
-    assert eval_potential(profile, -12.0) == 0.3
+    assert profile(-12.0) == 0.3
 
 
 def test_jump_points_average_one_sided_limits(barrier):
-    assert eval_potential(barrier, 1.5) == pytest.approx(0.1)
-    assert eval_potential(barrier, -1.5) == pytest.approx(0.1)
+    assert barrier(1.5) == pytest.approx(0.1)
+    assert barrier(-1.5) == pytest.approx(0.1)
 
 
 def test_vectorized_evaluation(barrier):
@@ -38,8 +39,8 @@ def test_vectorized_evaluation(barrier):
 
 def test_earlier_segments_shadow_later_ones():
     profile = PotentialProfile(segments=((0.0, 2.0, 1.0), (1.0, 3.0, 5.0)))
-    assert eval_potential(profile, 1.5) == 1.0
-    assert eval_potential(profile, 2.5) == 5.0
+    assert profile(1.5) == 1.0
+    assert profile(2.5) == 5.0
 
 
 def test_max_abs(barrier):
@@ -49,12 +50,12 @@ def test_max_abs(barrier):
 
 
 def test_malformed_segment_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         PotentialProfile(segments=((2.0, 1.0, 0.5),))
 
 
 def test_nonpositive_device_length_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         PotentialProfile(segments=(), device_length=0.0)
 
 
