@@ -1,4 +1,4 @@
-"""Assembly and direct solution of the stationary transport boundary-value
+"""Assembly and iterative solution of the stationary transport boundary-value
 problem.
 
 Unknowns are grouped by spatial node (x-major), velocity index ascending
@@ -10,21 +10,25 @@ with a second-order upwind stencil in x and Op one of the two velocity
 operators (singular 'original' scheme: A; regularized 'improved' scheme: B).
 Inflow rows are identities pinning the prescribed boundary data; outflow
 values remain unknowns.  The resulting matrix is block pentadiagonal with
-dense diagonal blocks and *diagonal* off-diagonal blocks, which the solver
-exploits: the superdiagonal blocks at offset +2 provably stay diagonal
-during the elimination, so a full factorization never materializes generic
-dense bands.
+dense diagonal blocks and *diagonal* off-diagonal blocks.
+
+The solver is GMRES preconditioned on the right by the transport sweep: the
+upwind operator alone, which is the same for every v of one sign and so is
+one banded matrix of order 2(N_x+1) factored once per solve.  Because the
+discrete B[V] is bounded uniformly in the velocity mesh, the number of
+iterations of the 'improved' scheme does not grow as the mesh is refined.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_factor, lu_solve, solve_triangular
 
-from .errors import ConfigurationError, SolverError
+from .errors import ConfigurationError, ResourceError, SolverError
 from .operators import (VelocityMesh, build_theta_kernel, materialize)
 from .potential import PotentialProfile
 from .wigner_potential import QuadratureSpec
@@ -34,6 +38,8 @@ __all__ = ["SpatialMesh", "BoundaryConditions", "WignerSolution",
            "solution_to_csv"]
 
 RESIDUAL_TOL = 1e-10
+GMRES_TOL = 1e-13
+MAX_ITERATIONS = 300
 
 
 @dataclass(frozen=True)
@@ -73,14 +79,15 @@ class BoundaryConditions:
 
 @dataclass
 class WignerSolution:
-    """Grid function f(x_i, v_n) with its meshes, scheme tag and solve
-    residual."""
+    """Grid function f(x_i, v_n) with its meshes, scheme tag, solve residual
+    and GMRES iteration count."""
 
     smesh: SpatialMesh
     vmesh: VelocityMesh
     values: np.ndarray  # shape (N_x + 1, N_v)
     scheme: str
     residual: float = 0.0
+    iterations: int = 0
 
 
 @dataclass
@@ -91,14 +98,30 @@ class BlockSystem:
     off:  off-diagonal blocks at offsets -2, -1, +1, +2; each block is a
           diagonal matrix stored as its diagonal, shape (N_x+1, N_v).
     rhs:  right-hand side, shape (N_x+1, N_v).
+    transport: the upwind stencil's share of the diagonal blocks' diagonals
+          (1 on inflow rows), shape (N_x+1, N_v); with `off` it is the
+          transport operator without the velocity coupling.
     """
 
     diag: np.ndarray
     off: dict[int, np.ndarray]
     rhs: np.ndarray
+    transport: np.ndarray
     smesh: SpatialMesh
     vmesh: VelocityMesh
     scheme: str
+
+
+def _check_memory(n_x: int, n_v: int) -> None:
+    """Refuse a system whose dense blocks and Krylov basis would not fit in
+    physical memory."""
+    need = 8 * (n_x + 1) * n_v * (n_v + MAX_ITERATIONS + 1)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ResourceError(
+            f"N_x={n_x}, N_v={n_v} needs {need / 2**30:.1f} GiB for the "
+            f"system and the Krylov basis; physical memory is "
+            f"{have / 2**30:.1f} GiB")
 
 
 def assemble_system(profile: PotentialProfile, smesh: SpatialMesh,
@@ -108,47 +131,49 @@ def assemble_system(profile: PotentialProfile, smesh: SpatialMesh,
     if scheme not in ("original", "improved"):
         raise ConfigurationError(f"unknown scheme {scheme!r}")
     n_x, n_v = smesh.n_x, vmesh.n_v
+    _check_memory(n_x, n_v)
     dx = smesh.dx
     v = vmesh.nodes
     pos = v > 0
     neg = ~pos
-    ipos = np.where(pos)[0]
-    ineg = np.where(neg)[0]
+    eye = np.arange(n_v)
     which = "A" if scheme == "original" else "B"
 
     diag = np.zeros((n_x + 1, n_v, n_v))
     off = {o: np.zeros((n_x + 1, n_v)) for o in (-2, -1, 1, 2)}
     rhs = np.zeros((n_x + 1, n_v))
+    transport = np.zeros((n_x + 1, n_v))
 
     for i, x in enumerate(smesh.nodes):
         kernel = build_theta_kernel(profile, x, vmesh, quad)
         d = -materialize(kernel, which)
         if i == 0:
             d[pos] = 0.0
-            d[ipos, ipos] = 1.0
+            transport[i, pos] = 1.0
             rhs[i, pos] = bc.f_left(v[pos])
         elif i == 1:
-            d[ipos, ipos] += 1 / dx
+            transport[i, pos] = 1 / dx
             off[-1][i, pos] = -1 / dx
         else:
-            d[ipos, ipos] += 3 / (2 * dx)
+            transport[i, pos] = 3 / (2 * dx)
             off[-1][i, pos] = -2 / dx
             off[-2][i, pos] = 1 / (2 * dx)
         if i == n_x:
             d[neg] = 0.0
-            d[ineg, ineg] = 1.0
+            transport[i, neg] = 1.0
             rhs[i, neg] = bc.f_right(v[neg])
         elif i == n_x - 1:
-            d[ineg, ineg] += -1 / dx
+            transport[i, neg] = -1 / dx
             off[1][i, neg] = 1 / dx
         else:
-            d[ineg, ineg] += -3 / (2 * dx)
+            transport[i, neg] = -3 / (2 * dx)
             off[1][i, neg] = 2 / dx
             off[2][i, neg] = -1 / (2 * dx)
+        d[eye, eye] += transport[i]
         diag[i] = d
 
-    return BlockSystem(diag=diag, off=off, rhs=rhs, smesh=smesh,
-                       vmesh=vmesh, scheme=scheme)
+    return BlockSystem(diag=diag, off=off, rhs=rhs, transport=transport,
+                       smesh=smesh, vmesh=vmesh, scheme=scheme)
 
 
 def _apply_system(system: BlockSystem, values: np.ndarray) -> np.ndarray:
@@ -162,68 +187,117 @@ def _apply_system(system: BlockSystem, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def solve(system: BlockSystem) -> WignerSolution:
-    """Direct block elimination tailored to the pentadiagonal structure.
+def _transport_factors(system: BlockSystem):
+    """LU factors of the upwind operator with the velocity coupling removed.
 
-    Forward pass: factor each pivot block, eliminate the two subdiagonal
-    (diagonal-matrix) blocks below it, updating the trailing blocks and the
-    right-hand side in the same sweep so the eliminators never need to be
-    stored.  The offset +2 blocks receive no fill-in (the eliminator rows
-    hit identity/outflow rows there), so only the offset +1 blocks densify.
-    Backward pass: standard block back-substitution.
+    It does not depend on v within a sign, so one v > 0 column and one
+    v < 0 column of the assembled stencil give all of it: a matrix of order
+    2(N_x+1), the v > 0 recurrence above the v < 0 one.
     """
-    n = system.smesh.n_x
-    n_v = system.vmesh.n_v
-    eye_idx = np.arange(n_v)
+    n = system.smesh.n_x + 1
+    v = system.vmesh.nodes
+    mat = np.zeros((2 * n, 2 * n))
+    for k, col in enumerate((np.argmax(v > 0), np.argmax(v < 0))):
+        block = np.diag(system.transport[:, col])
+        for o, band in system.off.items():
+            block += np.diag(band[max(0, -o):n - max(0, o), col], k=o)
+        mat[k * n:(k + 1) * n, k * n:(k + 1) * n] = block
+    return lu_factor(mat)
 
-    work = [system.diag[i].copy() for i in range(n + 1)]
-    y = system.rhs.copy()
-    u1 = [None] * (n + 1)
-    for i in range(n + 1):
-        block = np.zeros((n_v, n_v))
-        block[eye_idx, eye_idx] = system.off[1][i]
-        u1[i] = block
-    u2 = system.off[2]
-    factors = [None] * (n + 1)
-    p1 = None
 
-    for i in range(n + 1):
-        try:
-            factors[i] = lu_factor(work[i])
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-            raise SolverError(f"singular pivot block at node {i}") from exc
-        if not np.all(np.isfinite(factors[i][0])):
-            raise SolverError(f"non-finite pivot block at node {i}")
-        work[i] = None
-        if i + 1 <= n:
-            if p1 is None:
-                p1 = np.zeros((n_v, n_v))
-                p1[eye_idx, eye_idx] = system.off[-1][i + 1]
-            elim1 = lu_solve(factors[i], p1.T, trans=1).T
-            y[i + 1] -= elim1 @ y[i]
-            work[i + 1] -= elim1 @ u1[i]
-            if i + 2 <= n:
-                u1[i + 1] -= elim1 * u2[i][None, :]
-        if i + 2 <= n:
-            p2 = np.zeros((n_v, n_v))
-            p2[eye_idx, eye_idx] = system.off[-2][i + 2]
-            elim2 = lu_solve(factors[i], p2.T, trans=1).T
-            y[i + 2] -= elim2 @ y[i]
-            work[i + 2] -= elim2 * u2[i][None, :]
-            p1 = np.zeros((n_v, n_v))
-            p1[eye_idx, eye_idx] = system.off[-1][i + 2]
-            p1 -= elim2 @ u1[i]
-        else:
-            p1 = None
+def _gmres(matvec, precond, b: np.ndarray) -> tuple[np.ndarray, int]:
+    """Right-preconditioned GMRES (Saad & Schultz 1986) from x0 = M b.
 
-    values = np.zeros_like(y)
-    for i in range(n, -1, -1):
-        r = y[i].copy()
-        if i + 1 <= n:
-            r -= u1[i] @ values[i + 1]
-        if i + 2 <= n:
-            r -= u2[i] * values[i + 2]
-        values[i] = lu_solve(factors[i], r)
+    Arnoldi with classical Gram-Schmidt, orthogonalised twice, and Givens
+    rotations on the Hessenberg matrix.  A cycle ends when the rotated
+    residual estimate reaches the tolerance; the true residual then decides
+    whether to stop or restart from the new iterate.
+    """
+    b_norm = np.linalg.norm(b)
+    tol = GMRES_TOL * b_norm
+    x = precond(b)
+    basis = np.empty((MAX_ITERATIONS + 1, b.size))
+    iterations = 0
+    while True:
+        r = b - matvec(x)
+        beta = np.linalg.norm(r)
+        if beta <= tol:
+            return x, iterations
+        if iterations == MAX_ITERATIONS:
+            raise SolverError(
+                f"GMRES did not converge in {iterations} iterations: "
+                f"relative residual {beta / b_norm:.3e}, tolerance "
+                f"{GMRES_TOL:.0e}")
+        m = MAX_ITERATIONS - iterations
+        hess = np.zeros((m + 1, m))
+        cs, sn = np.zeros(m), np.zeros(m)
+        g = np.zeros(m + 1)
+        g[0] = beta
+        basis[0] = r / beta
+        k = 0
+        while k < m:
+            w = matvec(precond(basis[k]))
+            for _ in range(2):
+                h = basis[:k + 1] @ w
+                w -= h @ basis[:k + 1]
+                hess[:k + 1, k] += h
+            norm = np.linalg.norm(w)
+            col = hess[:, k]
+            col[k + 1] = norm
+            for j in range(k):
+                col[j], col[j + 1] = (cs[j] * col[j] + sn[j] * col[j + 1],
+                                      cs[j] * col[j + 1] - sn[j] * col[j])
+            rho = np.hypot(col[k], col[k + 1])
+            cs[k], sn[k] = col[k] / rho, col[k + 1] / rho
+            col[k], col[k + 1] = rho, 0.0
+            g[k + 1] = -sn[k] * g[k]
+            g[k] *= cs[k]
+            k += 1
+            if abs(g[k]) <= tol or norm == 0:
+                break
+            basis[k] = w / norm
+        y = solve_triangular(hess[:k, :k], g[:k])
+        x = x + precond(y @ basis[:k])
+        iterations += k
+
+
+def solve(system: BlockSystem) -> WignerSolution:
+    """Solve the assembled system by transport-preconditioned GMRES.
+
+    The inflow rows are identity rows, so the inflow values are the data.
+    GMRES solves for the rest with the data moved to the right-hand side,
+    and stops when the true residual reaches GMRES_TOL times the norm of
+    that right-hand side: the forcing the data exert on the interior rows,
+    whose size the interior equations have.  The preconditioner M is the
+    exact inverse of the upwind transport operator with the velocity
+    coupling removed, factored once and applied with one `lu_solve` on all
+    velocity columns at once.  Raises SolverError when GMRES reaches
+    MAX_ITERATIONS or the relative residual of the whole system exceeds
+    RESIDUAL_TOL.
+    """
+    shape = system.rhs.shape
+    v = system.vmesh.nodes
+    signs = (v > 0, v < 0)
+    factors = _transport_factors(system)
+
+    def precond(r: np.ndarray) -> np.ndarray:
+        r = r.reshape(shape)
+        z = lu_solve(factors, np.concatenate([r[:, s] for s in signs]))
+        out = np.empty(shape)
+        for s, part in zip(signs, np.split(z, 2)):
+            out[:, s] = part
+        return out.ravel()
+
+    def matvec(x: np.ndarray) -> np.ndarray:
+        return _apply_system(system, x.reshape(shape)).ravel()
+
+    inflow = np.zeros(shape, dtype=bool)
+    inflow[0, signs[0]] = inflow[-1, signs[1]] = True
+    data = np.where(inflow, system.rhs, 0.0)
+    z, iterations = _gmres(matvec, precond,
+                           (system.rhs - _apply_system(system, data)).ravel())
+    values = z.reshape(shape)
+    values[inflow] = system.rhs[inflow]
 
     rhs_norm = np.linalg.norm(system.rhs)
     res = np.linalg.norm(_apply_system(system, values) - system.rhs)
@@ -232,7 +306,8 @@ def solve(system: BlockSystem) -> WignerSolution:
         raise SolverError(
             f"solve residual {rel:.3e} exceeds tolerance {RESIDUAL_TOL:.0e}")
     return WignerSolution(smesh=system.smesh, vmesh=system.vmesh,
-                          values=values, scheme=system.scheme, residual=rel)
+                          values=values, scheme=system.scheme, residual=rel,
+                          iterations=iterations)
 
 
 def solve_bvp(profile: PotentialProfile, smesh: SpatialMesh,

@@ -12,7 +12,8 @@ norms       operator norms across a coherence-length sweep.
 
 Config files are line-oriented `key = value` pairs with `#` comments.
 Numeric values may carry a `pi` suffix (`0.5pi`).  Unknown keys are errors.
-Exit codes: 0 success, 2 configuration error, 3 solver error.
+Exit codes: 0 success, 1 any other package error (such as a system too
+large for physical memory), 2 configuration error, 3 solver error.
 """
 
 from __future__ import annotations

@@ -171,9 +171,12 @@ class ExperimentReport:
                              for lvl, err, order in zip(levels, errors, orders)]
 
     def aggregate_order(self, scheme: str) -> float:
-        """Mean slope between the first and last level."""
+        """Mean slope between the first and last level; NaN when either
+        error is zero, as in `convergence_order`."""
         rows = self.rows[scheme]
         e0, e1 = rows[0][1], rows[-1][1]
+        if e0 <= 0 or e1 <= 0:
+            return float("nan")
         steps = len(rows) - 1
         return float(np.log2(e0 / e1) / steps)
 

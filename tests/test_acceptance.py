@@ -166,6 +166,21 @@ def test_criterion_5_theta_bound_and_B_uniformity(norm_rows):
           f"(<=0.4+1e-8); |B| max/min = {b_ratio:.4f} (<=2)")
 
 
+def test_criterion_5_iterations_uniform_in_velocity_mesh():
+    # Uniformly bounded B means the transport-preconditioned GMRES needs no
+    # more iterations as the velocity mesh is refined at a fixed window.
+    cfg = load_config(CONFIG_DIR / "conv_v.cfg")
+    smesh = SpatialMesh(length=cfg.device_length, n_x=25)
+    counts = [solve_bvp(cfg.profile(), smesh, VelocityMesh(n_v, 1 / n_v),
+                        cfg.quad(), "improved",
+                        cfg.boundary_conditions()).iterations
+              for n_v in (64, 128, 256, 512)]
+    ok = 0 < counts[0] and all(b <= a for a, b in zip(counts, counts[1:]))
+    check("5 (GMRES iterations)", ok,
+          f"improved iterations at N_v = 64..512, N_x = 25: {counts} "
+          f"(non-increasing)")
+
+
 def test_criterion_5_A_growth_window(norm_rows):
     # The spectral norm of the singular quotient A grows like h^(-1/2): it is
     # bounded below by the 2-norm of the row at the smallest |v_n| and above

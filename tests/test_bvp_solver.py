@@ -2,11 +2,12 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wignerlab.bvp_solver import (BoundaryConditions, SpatialMesh,
-                                  assemble_system, solution_to_csv, solve,
-                                  solve_bvp)
-from wignerlab.errors import ConfigurationError
+from wignerlab.bvp_solver import (RESIDUAL_TOL, BoundaryConditions,
+                                  SpatialMesh, assemble_system,
+                                  solution_to_csv, solve, solve_bvp)
+from wignerlab.errors import ConfigurationError, SolverError
 from wignerlab.operators import VelocityMesh
 from wignerlab.potential import PotentialProfile, barrier_profile
 from wignerlab.wigner_potential import QuadratureSpec
@@ -145,6 +146,39 @@ def test_solve_matches_dense_solve(barrier, quad, scheme):
     dense = np.linalg.solve(to_dense(system), system.rhs.ravel())
     scale = max(1.0, np.abs(dense).max())
     assert np.abs(sol.values.ravel() - dense).max() <= 1e-11 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_x=st.integers(4, 12), n_v=st.sampled_from([4, 6, 8, 10, 12, 14, 16]),
+       height=st.floats(-2.0, 2.0), scheme=st.sampled_from(["original",
+                                                             "improved"]))
+def test_small_solves_meet_tolerance_or_raise(n_x, n_v, height, scheme):
+    # On a 10-long device most nodes lie within the kernel's reach of the
+    # barrier; on the usual 50 only the symmetric centre would, where the
+    # coupling vanishes.
+    smesh = SpatialMesh(length=10, n_x=n_x)
+    vmesh = VelocityMesh(n_v, 1 / 32)
+    system = assemble_system(barrier_profile(height, device_length=10),
+                             smesh, vmesh, QuadratureSpec(l_y=4, dy=0.5),
+                             scheme, gaussian_bc())
+    try:
+        sol = solve(system)
+    except SolverError:
+        return
+    assert sol.residual <= RESIDUAL_TOL
+    dense = np.linalg.solve(to_dense(system), system.rhs.ravel())
+    scale = max(1.0, np.abs(dense).max())
+    assert np.abs(sol.values.ravel() - dense).max() <= 1e-11 * scale
+
+
+@pytest.mark.parametrize("scheme", ["original", "improved"])
+def test_constant_potential_needs_no_iterations(quad, scheme):
+    # With no velocity coupling the transport preconditioner is the exact
+    # inverse, so its first application already solves the system.
+    profile = PotentialProfile(segments=(), default_value=0.3)
+    sol = solve_bvp(profile, SpatialMesh(length=50, n_x=8),
+                    VelocityMesh(8, 1 / 32), quad, scheme, gaussian_bc())
+    assert sol.iterations == 0
 
 
 def test_schemes_differ_by_rank_one_coupling(barrier, quad):

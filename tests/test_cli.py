@@ -1,3 +1,6 @@
+import re
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +33,19 @@ R_h = 16
 Ly = 8
 dy = 1.0
 inflow_left = 1.0, 0.5, 0.25
+"""
+
+# conv_v.cfg's barrier and inflow on a coarse spatial mesh
+ZERO_S_TEXT = """\
+device_length = 50
+segment = -1.5, 1.5, 0.2
+N_x = 8
+N_v = 64
+R_h = 32
+Ly = 8
+dy = 1
+inflow_left = 1.0, 0.5pi, 0.25
+levels = 32, 64, 128
 """
 
 
@@ -108,6 +124,45 @@ class TestMain:
                      str(tmp_path)])
         assert code == 3
         assert "solver error" in capsys.readouterr().err
+
+    def test_iteration_cap_exits_with_solver_error(self, tmp_path, capsys,
+                                                   monkeypatch):
+        monkeypatch.setattr("wignerlab.bvp_solver.MAX_ITERATIONS", 2)
+        cfg_file = tmp_path / "ok.cfg"
+        # N_x = 10 puts a node at x = 5, where the barrier couples
+        # velocities; at N_x = 6 no iteration is needed.
+        cfg_file.write_text(TINY_TEXT.replace("N_x = 6", "N_x = 10"))
+        code = main(["solve", "--config", str(cfg_file), "--out",
+                     str(tmp_path / "out")])
+        assert code == 3
+        assert re.search(r"^solver error: GMRES did not converge in 2 "
+                         r"iterations: relative residual \d\.\d{3}e[-+]\d+",
+                         capsys.readouterr().err)
+
+    def test_oversized_system_fails_fast_with_resource_error(self, tmp_path,
+                                                             capsys):
+        cfg_file = tmp_path / "big.cfg"
+        cfg_file.write_text(TINY_TEXT.replace("N_v = 8", "N_v = 65536"))
+        start = time.perf_counter()
+        code = main(["solve", "--config", str(cfg_file), "--out",
+                     str(tmp_path / "out")])
+        assert time.perf_counter() - start < 5
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "physical memory" in err
+
+    def test_zero_constraint_residual_gives_nan_aggregate(self, tmp_path,
+                                                          capsys):
+        # At N_x = 8 every node is beyond the kernel's reach of the barrier
+        # or at its symmetric centre, so S = 0 at every level.
+        cfg_file = tmp_path / "zero.cfg"
+        cfg_file.write_text(ZERO_S_TEXT)
+        out = tmp_path / "out"
+        code = main(["constraint", "--config", str(cfg_file), "--out",
+                     str(out)])
+        assert code == 0
+        assert (out / "report.csv").is_file()
+        assert "aggregate order: nan" in capsys.readouterr().out
 
     def test_solve_success(self, tmp_path, capsys):
         cfg_file = tmp_path / "ok.cfg"

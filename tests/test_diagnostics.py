@@ -166,6 +166,14 @@ class TestExperimentReport:
         report.add_scheme("improved", [64, 128, 256], [0.04, 0.01, 0.0025])
         assert report.aggregate_order("improved") == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("errors", [[0.04, 0.01, 0.0], [0.0, 0.0, 0.0],
+                                        [0.0, 0.01, 0.0025]])
+    def test_zero_error_gives_nan_aggregate(self, errors):
+        report = ExperimentReport(axis="velocity")
+        report.add_scheme("original", [64, 128, 256], errors)
+        assert np.isnan(report.aggregate_order("original"))
+        assert "aggregate order: nan" in report.to_text()
+
     def test_text_table_mentions_scheme_and_aggregate(self):
         report = ExperimentReport(axis="space")
         report.add_scheme("original", [25, 50], [0.4, 0.1])
