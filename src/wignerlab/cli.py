@@ -48,6 +48,16 @@ _FIELDS = {
 }
 _REQUIRED_KEYS = {"N_x", "N_v", "R_h", "Ly", "dy"}
 
+# study -> (default refinement levels, fewest levels that give an order);
+# conv-v and constraint share a default so that they share their solves
+_VELOCITY_LEVELS = (64, 128, 256, 512, 1024)
+_LEVELS = {
+    "conv-v": (_VELOCITY_LEVELS, 3),
+    "constraint": (_VELOCITY_LEVELS, 2),
+    "conv-x": ((25, 50, 100, 200, 400), 3),
+    "norms": ((32, 64, 128, 256, 512), 1),
+}
+
 
 @dataclass(frozen=True, kw_only=True)
 class RunConfig:
@@ -206,36 +216,48 @@ def _schemes(cfg: RunConfig, override: str | None) -> list[str]:
     return ["original", "improved"] if choice == "both" else [choice]
 
 
-def _solve_one(cfg: RunConfig, scheme: str, n_x: int | None = None,
-               n_v: int | None = None,
-               r_h: float | None = None) -> WignerSolution:
-    smesh = SpatialMesh(length=cfg.device_length, n_x=n_x or cfg.n_x)
-    vmesh = VelocityMesh(n_v or cfg.n_v, 1.0 / (2 * (r_h or cfg.r_h)))
+def _levels(cfg: RunConfig, study: str) -> tuple:
+    """The study's refinement levels, the config's or the default, checked
+    before any solve: positive, strictly ascending and enough of them for
+    an order; for `conv-x`, each also divides the finest, so the coarse
+    grids nest in it."""
+    default, fewest = _LEVELS[study]
+    levels = cfg.levels or default
+    if (len(levels) < fewest
+            or not all(a < b for a, b in zip((0,) + levels, levels))):
+        raise ConfigurationError(
+            f"{study} needs at least {fewest} positive, strictly ascending "
+            f"refinement levels, got {levels}")
+    if study == "conv-x" and any(levels[-1] % n_x for n_x in levels):
+        raise ConfigurationError(
+            f"conv-x levels must each divide the finest, got {levels}")
+    return levels
+
+
+def _solve_one(cfg: RunConfig, scheme: str, n_x: int, n_v: int,
+               r_h: float) -> WignerSolution:
+    smesh = SpatialMesh(length=cfg.device_length, n_x=n_x)
+    vmesh = VelocityMesh(n_v, 1.0 / (2 * r_h))
     return solve_bvp(cfg.profile(), smesh, vmesh, cfg.quad(), scheme,
                      cfg.boundary_conditions())
 
 
 @lru_cache(maxsize=2)
-def _velocity_sweep(cfg: RunConfig, scheme: str) -> tuple:
+def _velocity_sweep(cfg: RunConfig, scheme: str, levels: tuple) -> tuple:
     """Solutions at each velocity level, coarse to fine, at the fixed window
     R_h = N_v/2.
 
-    Cached on the config, so `conv-v` and `constraint` on one config share
-    their solves.
+    Cached on the config and the levels, so `conv-v` and `constraint` on
+    one config share their solves.
     """
-    levels = cfg.levels or (64, 128, 256, 512, 1024)
-    if len(levels) < 2:
-        raise ConfigurationError("need at least two refinement levels")
-    return tuple(_solve_one(cfg, scheme, n_v=n_v, r_h=n_v / 2)
+    return tuple(_solve_one(cfg, scheme, cfg.n_x, n_v, n_v / 2)
                  for n_v in levels)
 
 
-def _velocity_sweeps(cfg: RunConfig, schemes) -> tuple[list, dict]:
-    """The sweep's N_v levels and its solutions per scheme."""
-    sweeps = {scheme: _velocity_sweep(cfg, scheme)
-              for scheme in schemes or _schemes(cfg, None)}
-    some = next(iter(sweeps.values()))
-    return [sol.vmesh.n_v for sol in some], sweeps
+def _velocity_sweeps(cfg: RunConfig, schemes, levels: tuple) -> dict:
+    """The sweep's solutions per scheme."""
+    return {scheme: _velocity_sweep(cfg, scheme, levels)
+            for scheme in schemes or _schemes(cfg, None)}
 
 
 # --------------------------------------------------------------------------
@@ -299,7 +321,8 @@ def run_figure_comparison(cfg: RunConfig, out_dir: Path,
     device center, per scheme, plus one SVG per location."""
     out_dir.mkdir(parents=True, exist_ok=True)
     schemes = schemes or _schemes(cfg, None)
-    sols = {s: _solve_one(cfg, s) for s in schemes}
+    sols = {s: _solve_one(cfg, s, cfg.n_x, cfg.n_v, cfg.r_h)
+            for s in schemes}
     some = next(iter(sols.values()))
     locs = {"left": 1, "center": some.smesh.n_x // 2}
     v = some.vmesh.nodes
@@ -331,8 +354,9 @@ def run_v_convergence(cfg: RunConfig, out_dir: Path, schemes=None,
                       interp: str = "linear") -> ExperimentReport:
     """Velocity refinement sweep at fixed window: R_h = N_v/2 per level,
     errors against the finest level."""
+    levels = _levels(cfg, "conv-v")
     out_dir.mkdir(parents=True, exist_ok=True)
-    levels, sweeps = _velocity_sweeps(cfg, schemes)
+    sweeps = _velocity_sweeps(cfg, schemes, levels)
     report = ExperimentReport(axis="velocity",
                               metadata={"interp": interp, "levels": levels})
     for scheme, sols in sweeps.items():
@@ -347,14 +371,13 @@ def run_x_convergence(cfg: RunConfig, out_dir: Path,
                       schemes=None) -> ExperimentReport:
     """Spatial refinement sweep on a fixed velocity grid, errors against the
     finest level restricted to each coarse (nested) grid."""
+    levels = _levels(cfg, "conv-x")
     out_dir.mkdir(parents=True, exist_ok=True)
-    levels = list(cfg.levels) or [25, 50, 100, 200, 400]
-    if len(levels) < 2:
-        raise ConfigurationError("need at least two refinement levels")
     schemes = schemes or _schemes(cfg, None)
     report = ExperimentReport(axis="space", metadata={"levels": levels})
     for scheme in schemes:
-        sols = [_solve_one(cfg, scheme, n_x=n_x) for n_x in levels]
+        sols = [_solve_one(cfg, scheme, n_x, cfg.n_v, cfg.r_h)
+                for n_x in levels]
         errors = [l2_error(sol, sols[-1]) for sol in sols[:-1]]
         report.add_scheme(scheme, levels[:-1], errors)
     (out_dir / "report.csv").write_text(report.to_csv(), encoding="utf-8")
@@ -364,8 +387,9 @@ def run_x_convergence(cfg: RunConfig, out_dir: Path,
 def run_constraint_study(cfg: RunConfig, out_dir: Path,
                          schemes=None) -> ExperimentReport:
     """Constraint residual S over the velocity refinement sweep."""
+    levels = _levels(cfg, "constraint")
     out_dir.mkdir(parents=True, exist_ok=True)
-    levels, sweeps = _velocity_sweeps(cfg, schemes)
+    sweeps = _velocity_sweeps(cfg, schemes, levels)
     profile = cfg.profile()
     quad = cfg.quad()
     report = ExperimentReport(axis="velocity", metadata={"levels": levels,
@@ -387,7 +411,7 @@ def run_solve(cfg: RunConfig, out_dir: Path, schemes=None) -> dict:
     schemes = schemes or _schemes(cfg, None)
     out = {}
     for scheme in schemes:
-        sol = _solve_one(cfg, scheme)
+        sol = _solve_one(cfg, scheme, cfg.n_x, cfg.n_v, cfg.r_h)
         solution_to_csv(sol, str(out_dir / f"solution_{scheme}.csv"))
         out[scheme] = sol
     return out
@@ -401,8 +425,8 @@ def run_norms(cfg: RunConfig, out_dir: Path) -> list[dict]:
     |theta|_2 <= 2 max|V|, |B|_2 uniformly bounded, and |A|_2 ~ h^(-1/2)
     (growth by sqrt(2) per level).
     """
+    levels = _levels(cfg, "norms")
     out_dir.mkdir(parents=True, exist_ok=True)
-    levels = list(cfg.levels) or [32, 64, 128, 256, 512]
     profile = cfg.profile()
     quad = cfg.quad()
     rows = []

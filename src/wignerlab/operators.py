@@ -14,12 +14,15 @@ Three operators act on velocity-grid vectors f:
                                                 (regularized; the subtracted
                                                  row makes g_n finite
                                                  uniformly in the mesh)
+
+A and B read the same kernel.  `build_theta_kernel` samples it afresh on
+every call, with two `wigner_potential` calls (difference lattice and node
+lattice); nothing is cached between calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import matmul_toeplitz
@@ -67,32 +70,16 @@ class VelocityMesh:
 
 @dataclass(frozen=True)
 class WignerKernel:
-    """Sampled coupling data for one spatial node.
+    """Sampled coupling data for one spatial node x.
 
     symbol[k + N_v - 1] = V_w(x, k*dv) for k = -(N_v-1) .. N_v-1; the
     materialized matrix M_{nm} = symbol(n-m) is real, skew-symmetric and
     Toeplitz.  shift[m] = V_w(x, -v_m) satisfies shift[-m-1] = -shift[m].
     """
 
-    x: float
     symbol: np.ndarray
     shift: np.ndarray
     mesh: VelocityMesh
-    quad: QuadratureSpec
-
-
-@lru_cache(maxsize=4096)
-def _kernel_samples(profile: PotentialProfile, x: float, n_v: int, h: float,
-                    l_y: float, dy: float) -> tuple[np.ndarray, np.ndarray]:
-    """Cached V_w samples on the difference lattice and the node lattice."""
-    quad = QuadratureSpec(l_y=l_y, dy=dy)
-    mesh = VelocityMesh(n_v=n_v, h=h)
-    k = np.arange(-(n_v - 1), n_v)
-    symbol = wigner_potential(profile, x, k * mesh.dv, quad)
-    shift = wigner_potential(profile, x, -mesh.nodes, quad)
-    symbol.setflags(write=False)
-    shift.setflags(write=False)
-    return symbol, shift
 
 
 def build_theta_kernel(profile: PotentialProfile, x: float,
@@ -102,10 +89,10 @@ def build_theta_kernel(profile: PotentialProfile, x: float,
         raise ConfigurationError(
             f"aliasing guard violated: need L_y < R_h, got "
             f"L_y={quad.l_y} and R_h={mesh.r_h}")
-    symbol, shift = _kernel_samples(profile, float(x), mesh.n_v, mesh.h,
-                                    quad.l_y, quad.dy)
-    return WignerKernel(x=float(x), symbol=symbol, shift=shift,
-                        mesh=mesh, quad=quad)
+    k = np.arange(-(mesh.n_v - 1), mesh.n_v)
+    symbol = wigner_potential(profile, x, k * mesh.dv, quad)
+    shift = wigner_potential(profile, x, -mesh.nodes, quad)
+    return WignerKernel(symbol=symbol, shift=shift, mesh=mesh)
 
 
 def _check_length(kernel: WignerKernel, f: np.ndarray) -> np.ndarray:

@@ -9,8 +9,10 @@ over the correlation variable, truncated at a cutoff L_y:
 with N_y = L_y / dy.  The j = 0 term is always zero because D_V(x, 0) = 0,
 so the uniform weights coincide with a trapezoidal rule except for the
 half-weight at j = N_y; the uniform-weight form is kept deliberately as the
-canonical discretization.  Summation runs in ascending j for reproducible
-floating-point results.
+canonical discretization.  D_V is evaluated at all N_y offsets with one
+vectorized call; the nonzero terms are then summed in ascending j, so the
+floating-point result is reproducible and does not depend on how D_V was
+evaluated.
 """
 
 from __future__ import annotations
@@ -57,17 +59,18 @@ def wigner_potential(profile: PotentialProfile, x: float, v,
                      quad: QuadratureSpec) -> np.ndarray:
     """Evaluate V_w(x, v; L_y, dy) at one position and one or more velocities.
 
-    Odd in v, exactly zero at v = 0, and bounded by
-    (1/pi) * N_y * dy * 2 * max|V|.
+    Makes one `potential_difference` call for all offsets j*dy and adds one
+    sine term per offset where D_V is nonzero.  Odd in v, exactly zero at
+    v = 0, and bounded by (1/pi) * N_y * dy * 2 * max|V|.
     """
     v = np.asarray(v, dtype=float)
     scalar = v.ndim == 0
     v = np.atleast_1d(v)
     dy = quad.dy
+    y = np.arange(1, quad.n_y + 1) * dy
+    d_v = potential_difference(profile, x, y)
     acc = np.zeros(v.shape, dtype=float)
-    for j in range(1, quad.n_y + 1):
-        dv_j = potential_difference(profile, x, j * dy)
-        if dv_j != 0.0:
-            acc += dv_j * np.sin((j * dy) * v)
+    for j in np.flatnonzero(d_v):
+        acc += d_v[j] * np.sin(y[j] * v)
     out = -(dy / np.pi) * acc
     return out[0] if scalar else out

@@ -226,6 +226,48 @@ class TestRunners:
             run_v_convergence(cfg, tmp_path)
 
 
+# conv_v.cfg's barrier and inflow on a tiny mesh
+LEVELS_TEXT = """\
+device_length = 50
+segment = -1.5, 1.5, 0.2
+N_x = 8
+N_v = 32
+R_h = 16
+Ly = 8
+dy = 1
+inflow_left = 1.0, 0.5pi, 0.25
+scheme = improved
+"""
+
+
+class TestLevels:
+    @pytest.mark.parametrize("command,levels", [
+        ("conv-v", "32, 64"),  # one error, no order
+        ("conv-x", "8, 16"),
+        ("constraint", "64"),
+        ("conv-v", "128, 64, 32"),  # descending
+        ("conv-x", "16, 8, 4"),
+        ("conv-x", "8, 12"),
+        ("conv-x", "8, 12, 16"),  # 12 does not divide 16
+        ("conv-v", "32, 32, 64"),
+        ("norms", "0, 16"),
+        ("conv-v", "0, 32, 64"),  # 0 is not the config's own N_v
+    ])
+    def test_bad_levels_exit_2_before_any_solve(self, tmp_path, capsys,
+                                                monkeypatch, command, levels):
+        calls = []
+        for name in ("solve_bvp", "build_theta_kernel"):
+            monkeypatch.setattr(cli, name,
+                                lambda *a, name=name: calls.append(name))
+        cfg_file = tmp_path / "levels.cfg"
+        cfg_file.write_text(LEVELS_TEXT + f"levels = {levels}\n")
+        code = main([command, "--config", str(cfg_file), "--out",
+                     str(tmp_path / "out")])
+        assert code == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert calls == []
+
+
 TINY_FIELDS = dict(segments=((-1.5, 1.5, 0.2),), n_x=6, n_v=8, r_h=16,
                    l_y=8, dy=1.0, inflow_left=(1.0, 0.5, 0.25))
 

@@ -1,10 +1,13 @@
+import importlib
+
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from wignerlab.errors import ConfigurationError
-from wignerlab.potential import PotentialProfile, barrier_profile
+from wignerlab.potential import (PotentialProfile, barrier_profile,
+                                 potential_difference)
 from wignerlab.wigner_potential import QuadratureSpec, wigner_potential
 
 
@@ -98,3 +101,56 @@ def test_bound(barrier, quad):
     v = np.linspace(-20, 20, 401)
     for x in (-2.0, 1.0, 10.0):
         assert np.abs(wigner_potential(barrier, x, v, quad)).max() <= bound
+
+
+def _per_offset_reference(profile, x, v, quad):
+    """The sum with one scalar D_V evaluation per offset, in ascending j,
+    skipping zero terms: the arithmetic `wigner_potential` must reproduce
+    bit for bit."""
+    v = np.asarray(v, dtype=float)
+    scalar = v.ndim == 0
+    v = np.atleast_1d(v)
+    acc = np.zeros(v.shape, dtype=float)
+    for j in range(1, quad.n_y + 1):
+        dv_j = potential_difference(profile, x, j * quad.dy)
+        if dv_j != 0.0:
+            acc += dv_j * np.sin((j * quad.dy) * v)
+    out = -(quad.dy / np.pi) * acc
+    return out[0] if scalar else out
+
+
+# difference lattice k*dv of a 128-point velocity mesh with R_h = 32
+LATTICE = np.arange(-127, 128) * (np.pi / 32)
+OVERLAPPING = PotentialProfile(segments=((-2.0, 1.0, 0.3), (0.0, 3.0, -0.1)),
+                               default_value=0.05)
+
+
+@pytest.mark.parametrize("profile,x,v", [
+    (barrier_profile(), 0.7, LATTICE),  # inside the barrier
+    (barrier_profile(), 1.5, LATTICE),  # exactly at a jump
+    (barrier_profile(), 40.0, LATTICE),  # beyond reach: all zero
+    (OVERLAPPING, 0.5, LATTICE),
+    (OVERLAPPING, -2.0, -LATTICE[::7]),
+    (barrier_profile(), 10.0, 0.5),  # scalar velocity
+], ids=["inside", "jump", "far", "overlap", "overlap-jump", "scalar"])
+def test_matches_per_offset_reference_bitwise(profile, x, v, quad):
+    got = wigner_potential(profile, x, v, quad)
+    want = _per_offset_reference(profile, x, v, quad)
+    assert np.ndim(got) == np.ndim(want)
+    assert np.array_equal(got, want)
+    if x == 40.0:
+        assert not np.any(got)
+
+
+def test_one_potential_evaluation_per_call(barrier, quad, monkeypatch):
+    calls = []
+
+    def counting(profile, x, y):
+        calls.append(np.shape(y))
+        return potential_difference(profile, x, y)
+
+    # the package re-exports the function under the submodule's name
+    module = importlib.import_module("wignerlab.wigner_potential")
+    monkeypatch.setattr(module, "potential_difference", counting)
+    wigner_potential(barrier, 0.7, LATTICE, quad)
+    assert calls == [(quad.n_y,)]
