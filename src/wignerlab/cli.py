@@ -220,7 +220,10 @@ def _levels(cfg: RunConfig, study: str) -> tuple:
     """The study's refinement levels, the config's or the default, checked
     before any solve: positive, strictly ascending and enough of them for
     an order; for `conv-x`, each also divides the finest, so the coarse
-    grids nest in it."""
+    grids nest in it.  Each velocity level's mesh is built here, so that
+    its own rules reject a bad level before the first solve.  (A spatial
+    level below the stencil's minimum is the first one solved, and its
+    mesh rejects it before any solve.)"""
     default, fewest = _LEVELS[study]
     levels = cfg.levels or default
     if (len(levels) < fewest
@@ -231,6 +234,9 @@ def _levels(cfg: RunConfig, study: str) -> tuple:
     if study == "conv-x" and any(levels[-1] % n_x for n_x in levels):
         raise ConfigurationError(
             f"conv-x levels must each divide the finest, got {levels}")
+    if study in ("conv-v", "constraint"):
+        for n_v in levels:
+            VelocityMesh(n_v, 1.0 / n_v)
     return levels
 
 

@@ -15,9 +15,17 @@ Three operators act on velocity-grid vectors f:
                                                  row makes g_n finite
                                                  uniformly in the mesh)
 
-A and B read the same kernel.  `build_theta_kernel` samples it afresh on
-every call, with two `wigner_potential` calls (difference lattice and node
-lattice); nothing is cached between calls.
+A and B read the same kernel and are applied matrix-free: M f is one FFT
+convolution of length 2*N_v, so nothing of size N_v^2 is formed.  A kernel
+may stack the samples of several nodes along a leading axis; the operators
+then act on each node's row of f with that node's matrix, which is how the
+solver applies the coupling of the whole device at once.  `materialize`
+and `operator_norm` work on single-node kernels: the dense matrices give
+the norms and are the reference for the FFT products.
+
+`build_theta_kernel` samples one node afresh on every call, with two
+`wigner_potential` calls (difference lattice and node lattice); nothing is
+cached between calls.
 """
 
 from __future__ import annotations
@@ -25,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import matmul_toeplitz
 
 from .errors import ConfigurationError, ContractError, ResourceError
 from .potential import PotentialProfile
@@ -75,6 +82,8 @@ class WignerKernel:
     symbol[k + N_v - 1] = V_w(x, k*dv) for k = -(N_v-1) .. N_v-1; the
     materialized matrix M_{nm} = symbol(n-m) is real, skew-symmetric and
     Toeplitz.  shift[m] = V_w(x, -v_m) satisfies shift[-m-1] = -shift[m].
+    Several nodes' kernels stack along a leading axis of both arrays, with
+    shapes (nodes, 2*N_v - 1) and (nodes, N_v).
     """
 
     symbol: np.ndarray
@@ -97,43 +106,46 @@ def build_theta_kernel(profile: PotentialProfile, x: float,
 
 def _check_length(kernel: WignerKernel, f: np.ndarray) -> np.ndarray:
     f = np.asarray(f, dtype=float)
-    if f.shape != (kernel.mesh.n_v,):
+    if f.shape != kernel.shift.shape:
         raise ContractError(
-            f"vector length {f.shape} does not match N_v={kernel.mesh.n_v}")
+            f"vector shape {f.shape} does not match the kernel's "
+            f"{kernel.shift.shape}")
     return f
 
 
-def apply_theta(kernel: WignerKernel, f, fast: bool = True) -> np.ndarray:
+def apply_theta(kernel: WignerKernel, f) -> np.ndarray:
     """g = 2*pi*h * M f.
 
-    The fast path multiplies by the Toeplitz matrix via circulant embedding
-    and FFTs; the naive path materializes M.  Both agree to roundoff.
+    M is embedded in a circulant matrix of order 2*N_v, whose product with
+    the zero-padded f is one real FFT convolution along the last axis.
     """
     f = _check_length(kernel, f)
     n_v = kernel.mesh.n_v
-    if fast:
-        col = kernel.symbol[n_v - 1:]
-        row = kernel.symbol[n_v - 1::-1]
-        out = matmul_toeplitz((col, row), f)
-    else:
-        out = _materialize_m(kernel) @ f
+    symbol = kernel.symbol
+    # first column of the circulant: M's column, a zero, then M's first row
+    # reversed without its diagonal entry
+    column = np.concatenate([symbol[..., n_v - 1:],
+                             np.zeros(symbol.shape[:-1] + (1,)),
+                             symbol[..., :n_v - 1]], axis=-1)
+    out = np.fft.irfft(np.fft.rfft(column) * np.fft.rfft(f, 2 * n_v),
+                       2 * n_v)[..., :n_v]
     return 2 * np.pi * kernel.mesh.h * out
 
 
-def apply_A(kernel: WignerKernel, f, fast: bool = True) -> np.ndarray:
+def apply_A(kernel: WignerKernel, f) -> np.ndarray:
     """g_n = (theta f)_n / v_n."""
-    return apply_theta(kernel, f, fast=fast) / kernel.mesh.nodes
+    return apply_theta(kernel, f) / kernel.mesh.nodes
 
 
-def apply_B(kernel: WignerKernel, f, fast: bool = True) -> np.ndarray:
+def apply_B(kernel: WignerKernel, f) -> np.ndarray:
     """g_n = 2*pi*h/v_n * sum_m (M_{nm} - a_m) f_m.
 
-    The correction is the scalar sum_m a_m f_m, computed once per call in
-    ascending m.  On vectors even in v it vanishes and B coincides with A.
+    The correction is the scalar sum_m a_m f_m, once per node.  On vectors
+    even in v it vanishes and B coincides with A.
     """
     f = _check_length(kernel, f)
-    correction = float(np.dot(kernel.shift, f))
-    g = apply_theta(kernel, f, fast=fast)
+    correction = np.sum(kernel.shift * f, axis=-1, keepdims=True)
+    g = apply_theta(kernel, f)
     g -= 2 * np.pi * kernel.mesh.h * correction
     return g / kernel.mesh.nodes
 

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wignerlab.bvp_solver import (RESIDUAL_TOL, BoundaryConditions,
-                                  SpatialMesh, assemble_system,
-                                  solution_to_csv, solve, solve_bvp)
+                                  SpatialMesh, _apply_system,
+                                  assemble_system, solution_to_csv, solve,
+                                  solve_bvp)
 from wignerlab.errors import ConfigurationError, SolverError
 from wignerlab.operators import VelocityMesh
 from wignerlab.potential import PotentialProfile, barrier_profile
@@ -30,20 +31,11 @@ def gaussian_bc():
 
 
 def to_dense(system):
-    """Expand the block-banded storage into one dense matrix."""
-    n_x = system.smesh.n_x
-    n_v = system.vmesh.n_v
-    size = (n_x + 1) * n_v
-    out = np.zeros((size, size))
-    for i in range(n_x + 1):
-        sl = slice(i * n_v, (i + 1) * n_v)
-        out[sl, sl] = system.diag[i]
-        for o, band in system.off.items():
-            j = i + o
-            if 0 <= j <= n_x:
-                out[sl, slice(j * n_v, (j + 1) * n_v)][
-                    np.arange(n_v), np.arange(n_v)] = band[i]
-    return out
+    """The system's matrix, one column per product with a unit vector."""
+    shape = system.rhs.shape
+    unit = np.eye(system.rhs.size)
+    return np.column_stack([_apply_system(system, e.reshape(shape)).ravel()
+                            for e in unit])
 
 
 def brute_force_dense(profile, smesh, vmesh, quad, scheme, bc):
@@ -124,23 +116,34 @@ def test_constant_potential_is_pure_transport(quad, scheme, level):
         assert np.abs(row - expected).max() <= 1e-12
 
 
+@pytest.fixture
+def short_barrier():
+    # On a 10-long device the barrier reaches most nodes, so the velocity
+    # coupling is nonzero there; on the usual 50 it vanishes at every node
+    # of a coarse mesh (the outer ones are out of reach, the centre is the
+    # barrier's symmetric point).
+    return barrier_profile(device_length=10)
+
+
 @pytest.mark.parametrize("scheme", ["original", "improved"])
-def test_assembly_matches_brute_force(barrier, quad, scheme):
-    smesh = SpatialMesh(length=50, n_x=4)
+def test_assembly_matches_brute_force(short_barrier, quad, scheme):
+    smesh = SpatialMesh(length=10, n_x=4)
     vmesh = VelocityMesh(4, 1 / 32)
     bc = gaussian_bc()
-    system = assemble_system(barrier, smesh, vmesh, quad, scheme, bc)
-    want_mat, want_rhs = brute_force_dense(barrier, smesh, vmesh, quad,
-                                           scheme, bc)
+    system = assemble_system(short_barrier, smesh, vmesh, quad, scheme, bc)
+    want_mat, want_rhs = brute_force_dense(short_barrier, smesh, vmesh,
+                                           quad, scheme, bc)
+    blocks = want_mat.reshape(5, 4, 5, 4)[range(5), :, range(5), :]
+    assert np.abs(blocks - blocks * np.eye(4)).max() > 0
     np.testing.assert_allclose(to_dense(system), want_mat, atol=1e-13)
     np.testing.assert_allclose(system.rhs.ravel(), want_rhs, atol=1e-13)
 
 
 @pytest.mark.parametrize("scheme", ["original", "improved"])
-def test_solve_matches_dense_solve(barrier, quad, scheme):
-    smesh = SpatialMesh(length=50, n_x=6)
+def test_solve_matches_dense_solve(short_barrier, quad, scheme):
+    smesh = SpatialMesh(length=10, n_x=6)
     vmesh = VelocityMesh(4, 1 / 32)
-    system = assemble_system(barrier, smesh, vmesh, quad, scheme,
+    system = assemble_system(short_barrier, smesh, vmesh, quad, scheme,
                              gaussian_bc())
     sol = solve(system)
     dense = np.linalg.solve(to_dense(system), system.rhs.ravel())
@@ -181,24 +184,37 @@ def test_constant_potential_needs_no_iterations(quad, scheme):
     assert sol.iterations == 0
 
 
-def test_schemes_differ_by_rank_one_coupling(barrier, quad):
-    smesh = SpatialMesh(length=50, n_x=6)
+def test_schemes_differ_by_rank_one_coupling(short_barrier, quad):
+    barrier = short_barrier
+    smesh = SpatialMesh(length=10, n_x=6)
     vmesh = VelocityMesh(8, 1 / 32)
     bc = gaussian_bc()
     orig = assemble_system(barrier, smesh, vmesh, quad, "original", bc)
     impr = assemble_system(barrier, smesh, vmesh, quad, "improved", bc)
     from wignerlab.operators import build_theta_kernel
     v = vmesh.nodes
+    n_v = vmesh.n_v
+    expected = np.zeros(((smesh.n_x + 1) * n_v,) * 2)
     for i, x in enumerate(smesh.nodes):
         kernel = build_theta_kernel(barrier, x, vmesh, quad)
-        expected = 2 * np.pi * vmesh.h * np.outer(1 / v, kernel.shift)
-        delta = impr.diag[i] - orig.diag[i]
-        inflow_left = (v > 0) if i == 0 else np.zeros_like(v, dtype=bool)
-        inflow_right = (v < 0) if i == smesh.n_x else np.zeros_like(
-            v, dtype=bool)
-        interior = ~(inflow_left | inflow_right)
-        np.testing.assert_array_equal(delta[interior], expected[interior])
-        np.testing.assert_array_equal(delta[~interior], 0.0)
+        block = 2 * np.pi * vmesh.h * np.outer(1 / v, kernel.shift)
+        block[orig.inflow[i]] = 0.0
+        expected[i * n_v:(i + 1) * n_v, i * n_v:(i + 1) * n_v] = block
+    assert np.abs(expected).max() > 0
+    np.testing.assert_allclose(to_dense(impr) - to_dense(orig), expected,
+                               rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("scheme", ["original", "improved"])
+def test_coupled_solve_without_dense_blocks(short_barrier, quad, scheme):
+    # N_v = 32768 at N_x = 6 would need 56 GiB of dense velocity blocks;
+    # the matrix-free coupling needs the samples and the Krylov basis.
+    smesh = SpatialMesh(length=10, n_x=6)
+    vmesh = VelocityMesh(32768, 1 / 32768)
+    sol = solve_bvp(short_barrier, smesh, vmesh, quad, scheme,
+                    gaussian_bc())
+    assert sol.residual <= RESIDUAL_TOL
+    assert 0 < sol.iterations < 300
 
 
 def test_solution_linear_in_inflow(barrier, quad):

@@ -142,7 +142,7 @@ class TestMain:
     def test_oversized_system_fails_fast_with_resource_error(self, tmp_path,
                                                              capsys):
         cfg_file = tmp_path / "big.cfg"
-        cfg_file.write_text(TINY_TEXT.replace("N_v = 8", "N_v = 65536"))
+        cfg_file.write_text(TINY_TEXT.replace("N_v = 8", "N_v = 16777216"))
         start = time.perf_counter()
         code = main(["solve", "--config", str(cfg_file), "--out",
                      str(tmp_path / "out")])
@@ -252,6 +252,9 @@ class TestLevels:
         ("conv-v", "32, 32, 64"),
         ("norms", "0, 16"),
         ("conv-v", "0, 32, 64"),  # 0 is not the config's own N_v
+        ("conv-v", "32, 63, 128"),  # odd N_v after a good level
+        ("constraint", "32, 63"),
+        ("conv-x", "2, 4, 8"),  # N_x below the upwind stencil's 4
     ])
     def test_bad_levels_exit_2_before_any_solve(self, tmp_path, capsys,
                                                 monkeypatch, command, levels):

@@ -3,9 +3,9 @@ import pytest
 
 from wignerlab.errors import (ConfigurationError, ContractError,
                               ResourceError)
-from wignerlab.operators import (VelocityMesh, apply_A, apply_B,
-                                 apply_theta, build_theta_kernel, materialize,
-                                 operator_norm)
+from wignerlab.operators import (VelocityMesh, WignerKernel, apply_A,
+                                 apply_B, apply_theta, build_theta_kernel,
+                                 materialize, operator_norm)
 from wignerlab.potential import PotentialProfile, barrier_profile
 from wignerlab.wigner_potential import QuadratureSpec, wigner_potential
 
@@ -109,14 +109,34 @@ def test_zero_potential_kernel(quad):
 
 @pytest.mark.parametrize("n_v", [4, 8, 64, 256])
 def test_fast_matvec_matches_naive(barrier, quad, n_v):
-    kernel = kernel_at(barrier, quad, n_v=n_v, h=1 / 1024)
+    kernel = kernel_at(barrier, quad, x=1.0, n_v=n_v, h=1 / 1024)
+    assert np.abs(kernel.symbol).max() > 0
     rng = np.random.default_rng(n_v)
     for _ in range(10):
         f = rng.standard_normal(n_v)
-        fast = apply_theta(kernel, f, fast=True)
-        naive = apply_theta(kernel, f, fast=False)
+        fast = apply_theta(kernel, f)
+        naive = materialize(kernel, "theta") @ f
         assert np.abs(fast - naive).max() <= 1e-12 * max(
             1.0, np.abs(naive).max())
+
+
+@pytest.mark.parametrize("which,apply", [("A", apply_A), ("B", apply_B)])
+def test_stacked_kernel_applies_each_node(barrier, quad, which, apply):
+    mesh = VelocityMesh(16, 1 / 64)
+    kernels = [build_theta_kernel(barrier, x, mesh, quad)
+               for x in (-3.0, -0.7, 0.0, 1.2, 10.0)]
+    stacked = WignerKernel(symbol=np.array([k.symbol for k in kernels]),
+                           shift=np.array([k.shift for k in kernels]),
+                           mesh=mesh)
+    f = np.random.default_rng(5).standard_normal((len(kernels), 16))
+    want = np.array([materialize(k, which) @ row
+                     for k, row in zip(kernels, f)])
+    assert np.abs(want).max() > 0
+    assert np.abs(apply(stacked, f) - want).max() <= 1e-12
+    with pytest.raises(ContractError):
+        apply(stacked, f[0])
+    with pytest.raises(ContractError):
+        apply(stacked, f[:-1])
 
 
 def test_apply_theta_length_mismatch(barrier, quad):
@@ -126,7 +146,8 @@ def test_apply_theta_length_mismatch(barrier, quad):
 
 
 def test_apply_b_matches_dense_oracle(barrier, quad):
-    kernel = kernel_at(barrier, quad)
+    kernel = kernel_at(barrier, quad, x=1.0)
+    assert np.abs(kernel.shift).max() > 0
     m = materialize(kernel, "M")
     dense = 2 * np.pi * kernel.mesh.h * (
         m - np.outer(np.ones(8), kernel.shift)) / kernel.mesh.nodes[:, None]
@@ -137,7 +158,7 @@ def test_apply_b_matches_dense_oracle(barrier, quad):
 
 
 def test_a_equals_b_on_even_vectors(barrier, quad):
-    kernel = kernel_at(barrier, quad, n_v=16, h=1 / 64)
+    kernel = kernel_at(barrier, quad, x=1.0, n_v=16, h=1 / 64)
     rng = np.random.default_rng(3)
     half = rng.standard_normal(8)
     f = np.concatenate([half[::-1], half])  # f_m = f_{-m-1}
