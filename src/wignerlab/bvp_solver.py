@@ -16,9 +16,11 @@ node's sampled kernel and applies A or B with the FFT products of
 `operators`, so a product costs O(N_x N_v log N_v) and the system takes
 O(N_x N_v) memory.
 
-The solver is GMRES preconditioned on the right by the transport sweep: the
-upwind operator alone, which is the same for every v of one sign and so is
-one banded matrix of order 2(N_x+1) factored once per solve.  Because the
+The upwind stencil is the same for every v of one sign, so the system stores
+it once, as the three bands of one lower-triangular matrix of order N_x+1
+for v > 0; the v < 0 stencil is its mirror image.  The solver is GMRES
+preconditioned on the right by the transport sweep, the exact inverse of
+that stencil: one banded triangular solve per sign of v.  Because the
 discrete B[V] is bounded uniformly in the velocity mesh, the number of
 iterations of the 'improved' scheme does not grow as the mesh is refined.
 """
@@ -30,7 +32,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve, solve_triangular
+# `lu_factor` and `lu_solve` are not called here; the tracer looks them up
+from scipy.linalg import lu_factor, lu_solve, solve_banded, solve_triangular
 
 from .errors import ConfigurationError, ResourceError, SolverError
 # `materialize` is not called here; the benchmark's tracer looks it up
@@ -105,19 +108,17 @@ class BlockSystem:
           f(x_i, .).
     inflow: the inflow rows, shape (N_x+1, N_v); they are identity rows, so
           the coupling is left out of them.
-    off:  off-diagonal blocks at offsets -2, -1, +1, +2; each block is a
-          diagonal matrix stored as its diagonal, shape (N_x+1, N_v).
+    stencil: the upwind d/dx for v > 0, identity on the inflow row, as the
+          bands of a lower-triangular matrix of order N_x+1 in the storage
+          of `solve_banded` with (l, u) = (2, 0): row k holds the k-th
+          subdiagonal, a[j + k, j] in column j.
     rhs:  right-hand side, shape (N_x+1, N_v).
-    transport: the upwind stencil's share of the diagonal blocks' diagonals
-          (1 on inflow rows), shape (N_x+1, N_v); with `off` it is the
-          transport operator without the velocity coupling.
     """
 
     coupling: WignerKernel
     inflow: np.ndarray
-    off: dict[int, np.ndarray]
+    stencil: np.ndarray
     rhs: np.ndarray
-    transport: np.ndarray
     smesh: SpatialMesh
     vmesh: VelocityMesh
     scheme: str
@@ -149,9 +150,15 @@ def assemble_system(profile: PotentialProfile, smesh: SpatialMesh,
     pos = v > 0
     neg = ~pos
 
-    off = {o: np.zeros((n_x + 1, n_v)) for o in (-2, -1, 1, 2)}
+    stencil = np.zeros((3, n_x + 1))
+    stencil[0] = 3 / (2 * dx)
+    stencil[1, 1:-1] = -2 / dx
+    stencil[2, :-2] = 1 / (2 * dx)
+    stencil[0, :2] = 1.0, 1 / dx  # inflow identity; first-order row 1
+    stencil[1, 0] = -1 / dx
     rhs = np.zeros((n_x + 1, n_v))
-    transport = np.zeros((n_x + 1, n_v))
+    rhs[0, pos] = bc.f_left(v[pos])
+    rhs[n_x, neg] = bc.f_right(v[neg])
     inflow = np.zeros((n_x + 1, n_v), dtype=bool)
     inflow[0, pos] = inflow[n_x, neg] = True
     kernels = [build_theta_kernel(profile, x, vmesh, quad)
@@ -159,63 +166,44 @@ def assemble_system(profile: PotentialProfile, smesh: SpatialMesh,
     coupling = WignerKernel(symbol=np.array([k.symbol for k in kernels]),
                             shift=np.array([k.shift for k in kernels]),
                             mesh=vmesh)
+    return BlockSystem(coupling=coupling, inflow=inflow, stencil=stencil,
+                       rhs=rhs, smesh=smesh, vmesh=vmesh, scheme=scheme)
 
-    for i in range(n_x + 1):
-        if i == 0:
-            transport[i, pos] = 1.0
-            rhs[i, pos] = bc.f_left(v[pos])
-        elif i == 1:
-            transport[i, pos] = 1 / dx
-            off[-1][i, pos] = -1 / dx
-        else:
-            transport[i, pos] = 3 / (2 * dx)
-            off[-1][i, pos] = -2 / dx
-            off[-2][i, pos] = 1 / (2 * dx)
-        if i == n_x:
-            transport[i, neg] = 1.0
-            rhs[i, neg] = bc.f_right(v[neg])
-        elif i == n_x - 1:
-            transport[i, neg] = -1 / dx
-            off[1][i, neg] = 1 / dx
-        else:
-            transport[i, neg] = -3 / (2 * dx)
-            off[1][i, neg] = 2 / dx
-            off[2][i, neg] = -1 / (2 * dx)
 
-    return BlockSystem(coupling=coupling, inflow=inflow, off=off, rhs=rhs,
-                       transport=transport, smesh=smesh, vmesh=vmesh,
-                       scheme=scheme)
+def _stencils(system: BlockSystem) -> tuple:
+    """((l, u), bands, velocity columns) of the upwind stencil for each sign
+    of v, in the band storage of `solve_banded`.
+
+    The v < 0 stencil is the v > 0 one mirrored: x reversed and negated,
+    except the inflow identity row, which keeps +1.
+    """
+    half = system.vmesh.n_v // 2
+    mirror = -system.stencil[::-1, ::-1]
+    mirror[2, -1] = 1.0
+    return (((2, 0), system.stencil, np.s_[:, half:]),
+            ((0, 2), mirror, np.s_[:, :half]))
+
+
+def _band_product(l_and_u: tuple, bands: np.ndarray,
+                  x: np.ndarray) -> np.ndarray:
+    """a @ x for the matrix a whose bands `solve_banded` reads from `bands`."""
+    lower, upper = l_and_u
+    n = bands.shape[1]
+    out = np.zeros(x.shape)
+    for k in range(-lower, upper + 1):  # the diagonal a[i, i + k]
+        rows = slice(max(0, -k), n - max(0, k))
+        cols = slice(max(0, k), n - max(0, -k))
+        out[rows] += bands[upper - k, cols, None] * x[cols]
+    return out
 
 
 def _apply_system(system: BlockSystem, values: np.ndarray) -> np.ndarray:
     """Multiply the block-banded matrix by a grid function."""
-    n = system.smesh.n_x
     apply_op = apply_A if system.scheme == "original" else apply_B
-    out = system.transport * values - np.where(
-        system.inflow, 0.0, apply_op(system.coupling, values))
-    for o, band in system.off.items():
-        lo = max(0, -o)
-        hi = min(n, n - o)
-        out[lo:hi + 1] += band[lo:hi + 1] * values[lo + o:hi + o + 1]
+    out = -np.where(system.inflow, 0.0, apply_op(system.coupling, values))
+    for l_and_u, bands, cols in _stencils(system):
+        out[cols] += _band_product(l_and_u, bands, values[cols])
     return out
-
-
-def _transport_factors(system: BlockSystem):
-    """LU factors of the upwind operator with the velocity coupling removed.
-
-    It does not depend on v within a sign, so one v > 0 column and one
-    v < 0 column of the assembled stencil give all of it: a matrix of order
-    2(N_x+1), the v > 0 recurrence above the v < 0 one.
-    """
-    n = system.smesh.n_x + 1
-    v = system.vmesh.nodes
-    mat = np.zeros((2 * n, 2 * n))
-    for k, col in enumerate((np.argmax(v > 0), np.argmax(v < 0))):
-        block = np.diag(system.transport[:, col])
-        for o, band in system.off.items():
-            block += np.diag(band[max(0, -o):n - max(0, o), col], k=o)
-        mat[k * n:(k + 1) * n, k * n:(k + 1) * n] = block
-    return lu_factor(mat)
 
 
 def _gmres(matvec, precond, b: np.ndarray) -> tuple[np.ndarray, int]:
@@ -283,23 +271,20 @@ def solve(system: BlockSystem) -> WignerSolution:
     that right-hand side: the forcing the data exert on the interior rows,
     whose size the interior equations have.  The preconditioner M is the
     exact inverse of the upwind transport operator with the velocity
-    coupling removed, factored once and applied with one `lu_solve` on all
-    velocity columns at once.  Raises SolverError when GMRES reaches
-    MAX_ITERATIONS or the relative residual of the whole system exceeds
-    RESIDUAL_TOL.
+    coupling removed: one banded triangular solve per sign of v, on all
+    velocity columns of that sign at once.  Raises SolverError when GMRES
+    reaches MAX_ITERATIONS or the relative residual of the whole system
+    exceeds RESIDUAL_TOL.
     """
     shape = system.rhs.shape
-    v = system.vmesh.nodes
-    signs = (v > 0, v < 0)
-    factors = _transport_factors(system)
+    stencils = _stencils(system)
 
     def precond(r: np.ndarray) -> np.ndarray:
         r = r.reshape(shape)
-        z = lu_solve(factors, np.concatenate([r[:, s] for s in signs]))
-        out = np.empty(shape)
-        for s, part in zip(signs, np.split(z, 2)):
-            out[:, s] = part
-        return out.ravel()
+        z = np.empty(shape)
+        for l_and_u, bands, cols in stencils:
+            z[cols] = solve_banded(l_and_u, bands, r[cols])
+        return z.ravel()
 
     def matvec(x: np.ndarray) -> np.ndarray:
         return _apply_system(system, x.reshape(shape)).ravel()

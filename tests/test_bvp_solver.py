@@ -217,6 +217,23 @@ def test_coupled_solve_without_dense_blocks(short_barrier, quad, scheme):
     assert 0 < sol.iterations < 300
 
 
+@pytest.mark.parametrize("scheme", ["original", "improved"])
+def test_mirror_symmetry(barrier, scheme):
+    # The barrier is even in x, so mirrored inflow, f_right(v) = f_left(-v),
+    # gives a solution even under (x, v) -> (-x, -v): the v < 0 half comes
+    # from the mirrored stencil, the v > 0 half from the stored one.
+    # conv_x.cfg's mesh, far past the brute-force assembly's reach.
+    def f_left(v):
+        return np.exp(-(v - 0.5 * np.pi) ** 2 / 0.25)
+
+    bc = BoundaryConditions(f_left=f_left, f_right=lambda v: f_left(-v))
+    sol = solve_bvp(barrier, SpatialMesh(length=50, n_x=100),
+                    VelocityMesh(256, 1 / 256), QuadratureSpec(64, 1.0),
+                    scheme, bc)
+    f = sol.values
+    assert np.abs(f[::-1, ::-1] - f).max() <= 1e-10 * np.abs(f).max()
+
+
 def test_solution_linear_in_inflow(barrier, quad):
     smesh = SpatialMesh(length=50, n_x=8)
     vmesh = VelocityMesh(8, 1 / 32)

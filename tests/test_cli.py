@@ -253,6 +253,7 @@ class TestLevels:
         ("norms", "0, 16"),
         ("conv-v", "0, 32, 64"),  # 0 is not the config's own N_v
         ("conv-v", "32, 63, 128"),  # odd N_v after a good level
+        ("conv-v", "2, 4, 8"),  # one velocity on each half-line
         ("constraint", "32, 63"),
         ("conv-x", "2, 4, 8"),  # N_x below the upwind stencil's 4
     ])
