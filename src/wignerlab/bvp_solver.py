@@ -12,9 +12,9 @@ Inflow rows are identities pinning the prescribed boundary data; outflow
 values remain unknowns.  The resulting matrix is block pentadiagonal with
 *diagonal* off-diagonal blocks.  Its diagonal blocks, the stencil's diagonal
 minus the node's velocity operator, are never formed: the system keeps each
-node's sampled kernel and applies A or B with the FFT products of
-`operators`, so a product costs O(N_x N_v log N_v) and the system takes
-O(N_x N_v) memory.
+node's potential differences and applies A or B through the sine and cosine
+factors of `operators`, so a product costs O(N_x N_v N_y) and the system
+takes O(N_x N_v) memory.
 
 The upwind stencil is the same for every v of one sign, so the system stores
 it once, as the three bands of one lower-triangular matrix of order N_x+1
@@ -27,7 +27,6 @@ iterations of the 'improved' scheme does not grow as the mesh is refined.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -35,10 +34,10 @@ import numpy as np
 # `lu_factor` and `lu_solve` are not called here; the tracer looks them up
 from scipy.linalg import lu_factor, lu_solve, solve_banded, solve_triangular
 
-from .errors import ConfigurationError, ResourceError, SolverError
+from .errors import ConfigurationError, SolverError
 # `materialize` is not called here; the benchmark's tracer looks it up
 from .operators import (VelocityMesh, WignerKernel, apply_A, apply_B,
-                        build_theta_kernel, materialize)
+                        build_theta_kernel, check_memory, materialize)
 from .potential import PotentialProfile
 from .wigner_potential import QuadratureSpec
 
@@ -103,9 +102,9 @@ class WignerSolution:
 class BlockSystem:
     """Block-pentadiagonal system, stored without its dense blocks.
 
-    coupling: every node's kernel, stacked along the leading axis; row i of
-          the system subtracts A or B of that node's kernel applied to
-          f(x_i, .).
+    coupling: every node's kernel, its differences stacked along the leading
+          axis; row i of the system subtracts A or B of that node's kernel
+          applied to f(x_i, .).
     inflow: the inflow rows, shape (N_x+1, N_v); they are identity rows, so
           the coupling is left out of them.
     stencil: the upwind d/dx for v > 0, identity on the inflow row, as the
@@ -124,27 +123,16 @@ class BlockSystem:
     scheme: str
 
 
-def _check_memory(n_x: int, n_v: int) -> None:
-    """Refuse a system whose Krylov basis and stacked kernel samples (a
-    symbol of 2*N_v - 1 and a shift of N_v values per node) would not fit in
-    physical memory."""
-    need = 8 * (n_x + 1) * (n_v * (MAX_ITERATIONS + 1) + 3 * n_v - 1)
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise ResourceError(
-            f"N_x={n_x}, N_v={n_v} needs {need / 2**30:.1f} GiB for the "
-            f"Krylov basis and the kernel samples; physical memory is "
-            f"{have / 2**30:.1f} GiB")
-
-
 def assemble_system(profile: PotentialProfile, smesh: SpatialMesh,
                     vmesh: VelocityMesh, quad: QuadratureSpec,
                     scheme: str, bc: BoundaryConditions) -> BlockSystem:
     """Build the global system for the chosen scheme."""
     if scheme not in ("original", "improved"):
         raise ConfigurationError(f"unknown scheme {scheme!r}")
-    n_x, n_v = smesh.n_x, vmesh.n_v
-    _check_memory(n_x, n_v)
+    n_x, n_v, n_y = smesh.n_x, vmesh.n_v, quad.n_y
+    # the Krylov basis and every node's differences and shift
+    check_memory(n_v, n_y,
+                 8 * (n_x + 1) * (n_v * (MAX_ITERATIONS + 2) + n_y))
     dx = smesh.dx
     v = vmesh.nodes
     pos = v > 0
@@ -163,9 +151,8 @@ def assemble_system(profile: PotentialProfile, smesh: SpatialMesh,
     inflow[0, pos] = inflow[n_x, neg] = True
     kernels = [build_theta_kernel(profile, x, vmesh, quad)
                for x in smesh.nodes]
-    coupling = WignerKernel(symbol=np.array([k.symbol for k in kernels]),
-                            shift=np.array([k.shift for k in kernels]),
-                            mesh=vmesh)
+    coupling = WignerKernel(diff=np.array([k.diff for k in kernels]),
+                            quad=quad, mesh=vmesh)
     return BlockSystem(coupling=coupling, inflow=inflow, stencil=stencil,
                        rhs=rhs, smesh=smesh, vmesh=vmesh, scheme=scheme)
 
@@ -277,13 +264,14 @@ def solve(system: BlockSystem) -> WignerSolution:
     exceeds RESIDUAL_TOL.
     """
     shape = system.rhs.shape
-    stencils = _stencils(system)
+    (_, lower, pos), (_, upper, neg) = _stencils(system)
+    # reversed in x, the v > 0 stencil is upper triangular: no pivoting
 
     def precond(r: np.ndarray) -> np.ndarray:
         r = r.reshape(shape)
         z = np.empty(shape)
-        for l_and_u, bands, cols in stencils:
-            z[cols] = solve_banded(l_and_u, bands, r[cols])
+        z[pos] = solve_banded((0, 2), lower[::-1, ::-1], r[pos][::-1])[::-1]
+        z[neg] = solve_banded((0, 2), upper, r[neg])
         return z.ravel()
 
     def matvec(x: np.ndarray) -> np.ndarray:

@@ -1,48 +1,47 @@
 """Velocity mesh and the discrete velocity-space operators.
 
 The velocity grid is offset from zero, v_n = (2n+1)*pi*h, so that division
-by v_n is always defined.  At each spatial node the nonlocal coupling is a
-real skew-symmetric Toeplitz matrix M with entries M_{nm} = V_w(x, (n-m)dv),
-stored as its defining symbol (one value per diagonal) plus the shift vector
-a_m = V_w(x, -v_m) sampled on the node lattice itself.
+by v_n is always defined.  At each spatial node x the nonlocal coupling is
+the real skew-symmetric matrix M_{nm} = V_w(x, v_n - v_m), with V_w the sine
+sum over the quadrature nodes y_j (`wigner_potential`).  Since
+sin(y(v_n - v_m)) = sin(y v_n) cos(y v_m) - cos(y v_n) sin(y v_m),
 
-Three operators act on velocity-grid vectors f:
+    M = S W C^T - C W S^T,  S = sin(v y^T), C = cos(v y^T),
+    W = -(dy/pi) diag(D_V(x, y_j)),
 
-    theta: g = 2*pi*h * M f                     (bounded convolution)
+of rank at most 2*N_y whatever N_v is (Frensley, Phys. Rev. B 36, 1570,
+1987).  A kernel stores D_V(x, y_j); S and C are the same at every node.
+
+    theta: g = 2*pi*h * M f                     (bounded)
     A:     g_n = (theta f)_n / v_n              (singular as v_n -> 0)
     B:     g_n = 2*pi*h/v_n * sum_m (M_{nm} - a_m) f_m
-                                                (regularized; the subtracted
-                                                 row makes g_n finite
-                                                 uniformly in the mesh)
+                                                (regularized by the row
+                                                 a_m = V_w(x, -v_m))
 
-A and B read the same kernel and are applied matrix-free: M f is one FFT
-convolution of length 2*N_v, so nothing of size N_v^2 is formed.  A kernel
-may stack the samples of several nodes along a leading axis; the operators
-then act on each node's row of f with that node's matrix, which is how the
-solver applies the coupling of the whole device at once.  `materialize`
-and `operator_norm` work on single-node kernels: the dense matrices give
-the norms and are the reference for the FFT products.
-
-`build_theta_kernel` samples one node afresh on every call, with two
-`wigner_potential` calls (difference lattice and node lattice); nothing is
-cached between calls.
+Products and norms go through the factors, O(N_v N_y) per node, so nothing
+of size N_v^2 is formed.  A kernel may stack several nodes' D_V along a
+leading axis; the operators then act on each node's row of f with that
+node's matrix, which is how the solver applies the coupling of the whole
+device at once.  `materialize` forms the dense matrices from the sampled
+`symbol` and `shift`; the tests hold the factored operators to it.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigurationError, ContractError, ResourceError
-from .potential import PotentialProfile
-from .wigner_potential import QuadratureSpec, wigner_potential
+from .potential import PotentialProfile, potential_difference
+# `wigner_potential` is not called here; the benchmark's tracer looks it up
+from .wigner_potential import QuadratureSpec, sine_sum, wigner_potential
 
 __all__ = ["VelocityMesh", "WignerKernel", "build_theta_kernel",
            "apply_theta", "apply_A", "apply_B", "materialize",
            "operator_norm"]
-
-_NORM_SIZE_GUARD = 4096
 
 
 @dataclass(frozen=True)
@@ -77,58 +76,74 @@ class VelocityMesh:
 
 @dataclass(frozen=True)
 class WignerKernel:
-    """Sampled coupling data for one spatial node x.
-
-    symbol[k + N_v - 1] = V_w(x, k*dv) for k = -(N_v-1) .. N_v-1; the
-    materialized matrix M_{nm} = symbol(n-m) is real, skew-symmetric and
-    Toeplitz.  shift[m] = V_w(x, -v_m) satisfies shift[-m-1] = -shift[m].
-    Several nodes' kernels stack along a leading axis of both arrays, with
-    shapes (nodes, 2*N_v - 1) and (nodes, N_v).
+    """diff[..., j-1] = D_V(x, j*dy), j = 1 .. N_y; nodes stack on a leading
+    axis.  `symbol` and `shift` are V_w sampled from it by `sine_sum`,
+    bitwise as `wigner_potential` gives them: symbol[..., k + N_v - 1] =
+    V_w(x, k*dv) for |k| < N_v and shift[..., m] = V_w(x, -v_m).  `tables`
+    are S and C, shape (N_v, N_y), computed once per kernel.
     """
 
-    symbol: np.ndarray
-    shift: np.ndarray
+    diff: np.ndarray
+    quad: QuadratureSpec
     mesh: VelocityMesh
+
+    @property
+    def symbol(self) -> np.ndarray:
+        k = np.arange(-(self.mesh.n_v - 1), self.mesh.n_v)
+        return sine_sum(self.diff, k * self.mesh.dv, self.quad.dy)
+
+    @cached_property
+    def shift(self) -> np.ndarray:
+        return sine_sum(self.diff, -self.mesh.nodes, self.quad.dy)
+
+    @cached_property
+    def tables(self) -> tuple[np.ndarray, np.ndarray]:
+        phase = np.multiply.outer(self.mesh.nodes, self.quad.offsets)
+        return np.sin(phase), np.cos(phase)
+
+    @property
+    def weights(self) -> np.ndarray:  # the diagonal of W
+        return -(self.quad.dy / np.pi) * self.diff
+
+
+def check_memory(n_v: int, n_y: int, extra: int = 0) -> None:
+    """Refuse a kernel whose quadrature nodes, differences, S and C, plus
+    `extra` bytes, would not fit in physical memory."""
+    need = 8 * 2 * n_y * (n_v + 1) + extra
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ResourceError(
+            f"N_v={n_v}, N_y={n_y} needs {need / 2**30:.1f} GiB; physical "
+            f"memory is {have / 2**30:.1f} GiB")
 
 
 def build_theta_kernel(profile: PotentialProfile, x: float,
                        mesh: VelocityMesh, quad: QuadratureSpec) -> WignerKernel:
-    """Sample V_w for one spatial node and package it as a kernel."""
+    """Evaluate D_V for one spatial node and package it as a kernel."""
     if not quad.l_y < mesh.r_h:
         raise ConfigurationError(
             f"aliasing guard violated: need L_y < R_h, got "
             f"L_y={quad.l_y} and R_h={mesh.r_h}")
-    k = np.arange(-(mesh.n_v - 1), mesh.n_v)
-    symbol = wigner_potential(profile, x, k * mesh.dv, quad)
-    shift = wigner_potential(profile, x, -mesh.nodes, quad)
-    return WignerKernel(symbol=symbol, shift=shift, mesh=mesh)
+    check_memory(mesh.n_v, quad.n_y)
+    diff = potential_difference(profile, x, quad.offsets)
+    return WignerKernel(diff=diff, quad=quad, mesh=mesh)
 
 
 def _check_length(kernel: WignerKernel, f: np.ndarray) -> np.ndarray:
     f = np.asarray(f, dtype=float)
-    if f.shape != kernel.shift.shape:
+    want = kernel.diff.shape[:-1] + (kernel.mesh.n_v,)
+    if f.shape != want:
         raise ContractError(
-            f"vector shape {f.shape} does not match the kernel's "
-            f"{kernel.shift.shape}")
+            f"vector shape {f.shape} does not match the kernel's {want}")
     return f
 
 
 def apply_theta(kernel: WignerKernel, f) -> np.ndarray:
-    """g = 2*pi*h * M f.
-
-    M is embedded in a circulant matrix of order 2*N_v, whose product with
-    the zero-padded f is one real FFT convolution along the last axis.
-    """
+    """g = 2*pi*h * M f, with M f = S (w * C^T f) - C (w * S^T f)."""
     f = _check_length(kernel, f)
-    n_v = kernel.mesh.n_v
-    symbol = kernel.symbol
-    # first column of the circulant: M's column, a zero, then M's first row
-    # reversed without its diagonal entry
-    column = np.concatenate([symbol[..., n_v - 1:],
-                             np.zeros(symbol.shape[:-1] + (1,)),
-                             symbol[..., :n_v - 1]], axis=-1)
-    out = np.fft.irfft(np.fft.rfft(column) * np.fft.rfft(f, 2 * n_v),
-                       2 * n_v)[..., :n_v]
+    sin, cos = kernel.tables
+    w = kernel.weights
+    out = (w * (f @ cos)) @ sin.T - (w * (f @ sin)) @ cos.T
     return 2 * np.pi * kernel.mesh.h * out
 
 
@@ -150,15 +165,10 @@ def apply_B(kernel: WignerKernel, f) -> np.ndarray:
     return g / kernel.mesh.nodes
 
 
-def _materialize_m(kernel: WignerKernel) -> np.ndarray:
-    n_v = kernel.mesh.n_v
-    idx = np.subtract.outer(np.arange(n_v), np.arange(n_v)) + n_v - 1
-    return kernel.symbol[idx]
-
-
 def materialize(kernel: WignerKernel, which: str) -> np.ndarray:
     """Dense matrix of the chosen operator: 'M', 'theta', 'A' or 'B'."""
-    m = _materialize_m(kernel)
+    n = np.arange(kernel.mesh.n_v)
+    m = kernel.symbol[np.subtract.outer(n, n) + kernel.mesh.n_v - 1]
     scale = 2 * np.pi * kernel.mesh.h
     v = kernel.mesh.nodes
     if which == "M":
@@ -173,15 +183,28 @@ def materialize(kernel: WignerKernel, which: str) -> np.ndarray:
 
 
 def operator_norm(kernel: WignerKernel, which: str) -> float:
-    """Spectral norm (2-norm) of the dense materialization of theta, A or B,
-    from a full singular value decomposition.
+    """Spectral norm (2-norm) of theta, A or B at one node.
+
+    The operator is L R^T with thin factors: for theta, L = 2*pi*h [S W,
+    -C W] and R = [C, S]; A and B divide row n of L by v_n, and B appends
+    the column 2*pi*h to L and -a to R.  With L = Q_L T_L and R = Q_R T_R,
+    the norm is that of T_L T_R^T, of order at most 2*N_y + 1.
 
     Under mesh refinement (h -> 0 with the window fixed) the three norms
     behave differently: |theta|_2 <= 2 max|V|; |B|_2 stays uniformly
     bounded; |A|_2 grows like h^(-1/2), i.e. by sqrt(2) per halving of h.
     """
-    if kernel.mesh.n_v > _NORM_SIZE_GUARD:
-        raise ResourceError(
-            f"operator_norm materializes densely; N_v={kernel.mesh.n_v} "
-            f"exceeds the guard {_NORM_SIZE_GUARD}")
-    return float(np.linalg.norm(materialize(kernel, which), 2))
+    if which not in ("theta", "A", "B"):
+        raise ContractError(f"unknown operator {which!r}")
+    sin, cos = kernel.tables
+    w = kernel.weights
+    left = np.hstack([sin * w, -cos * w])
+    right = np.hstack([cos, sin])
+    if which == "B":
+        left = np.column_stack([left, np.ones(kernel.mesh.n_v)])
+        right = np.column_stack([right, -kernel.shift])
+    left *= 2 * np.pi * kernel.mesh.h
+    if which != "theta":
+        left /= kernel.mesh.nodes[:, None]
+    core = np.linalg.qr(left, mode="r") @ np.linalg.qr(right, mode="r").T
+    return float(np.linalg.norm(core, 2))

@@ -10,9 +10,9 @@ with N_y = L_y / dy.  The j = 0 term is always zero because D_V(x, 0) = 0,
 so the uniform weights coincide with a trapezoidal rule except for the
 half-weight at j = N_y; the uniform-weight form is kept deliberately as the
 canonical discretization.  D_V is evaluated at all N_y offsets with one
-vectorized call; the nonzero terms are then summed in ascending j, so the
-floating-point result is reproducible and does not depend on how D_V was
-evaluated.
+vectorized call; `sine_sum` then adds the nonzero terms in ascending j, so
+the floating-point result is reproducible and does not depend on how D_V was
+evaluated.  The velocity operators sample V_w from D_V with it too.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .potential import PotentialProfile, potential_difference
 
-__all__ = ["QuadratureSpec", "wigner_potential"]
+__all__ = ["QuadratureSpec", "sine_sum", "wigner_potential"]
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,22 @@ class QuadratureSpec:
         """Number of quadrature nodes j = 1 .. N_y."""
         return int(round(self.l_y / self.dy))
 
+    @property
+    def offsets(self) -> np.ndarray:
+        """The quadrature nodes y_j = j*dy, j = 1 .. N_y."""
+        return np.arange(1, self.n_y + 1) * self.dy
+
+
+def sine_sum(d_v: np.ndarray, v, dy: float) -> np.ndarray:
+    """-(dy/pi) * sum_j d_v[..., j-1] * sin(j*dy*v), in ascending j, skipping
+    a j where every node's D_V is zero; shape d_v.shape[:-1] + v.shape."""
+    v = np.asarray(v, dtype=float)
+    y = np.arange(1, d_v.shape[-1] + 1) * dy
+    acc = np.zeros(d_v.shape[:-1] + v.shape)
+    for j in np.flatnonzero(np.any(d_v.reshape(-1, y.size), axis=0)):
+        acc += np.multiply.outer(d_v[..., j], np.sin(y[j] * v))
+    return -(dy / np.pi) * acc
+
 
 def wigner_potential(profile: PotentialProfile, x: float, v,
                      quad: QuadratureSpec) -> np.ndarray:
@@ -63,14 +79,5 @@ def wigner_potential(profile: PotentialProfile, x: float, v,
     sine term per offset where D_V is nonzero.  Odd in v, exactly zero at
     v = 0, and bounded by (1/pi) * N_y * dy * 2 * max|V|.
     """
-    v = np.asarray(v, dtype=float)
-    scalar = v.ndim == 0
-    v = np.atleast_1d(v)
-    dy = quad.dy
-    y = np.arange(1, quad.n_y + 1) * dy
-    d_v = potential_difference(profile, x, y)
-    acc = np.zeros(v.shape, dtype=float)
-    for j in np.flatnonzero(d_v):
-        acc += d_v[j] * np.sin(y[j] * v)
-    out = -(dy / np.pi) * acc
-    return out[0] if scalar else out
+    out = sine_sum(potential_difference(profile, x, quad.offsets), v, quad.dy)
+    return out[()]

@@ -247,8 +247,8 @@ def test_criterion_6_fft_vs_naive():
         scale = max(1.0, np.abs(naive).max())
         worst = max(worst, np.abs(fast - naive).max() / scale)
     ok = worst <= 1e-12 and coupling > 0
-    check("6 (fft matvec)", ok,
-          f"max relative fast-vs-naive deviation over 100 vectors "
+    check("6 (factored matvec)", ok,
+          f"max relative factored-vs-dense deviation over 100 vectors "
           f"{worst:.2e} (<=1e-12), max |symbol| {coupling:.3f} (>0)")
 
 

@@ -135,8 +135,10 @@ def test_assembly_matches_brute_force(short_barrier, quad, scheme):
                                            quad, scheme, bc)
     blocks = want_mat.reshape(5, 4, 5, 4)[range(5), :, range(5), :]
     assert np.abs(blocks - blocks * np.eye(4)).max() > 0
-    np.testing.assert_allclose(to_dense(system), want_mat, atol=1e-13)
-    np.testing.assert_allclose(system.rhs.ravel(), want_rhs, atol=1e-13)
+    np.testing.assert_allclose(to_dense(system), want_mat, rtol=0,
+                               atol=1e-13)
+    np.testing.assert_allclose(system.rhs.ravel(), want_rhs, rtol=0,
+                               atol=1e-13)
 
 
 @pytest.mark.parametrize("scheme", ["original", "improved"])

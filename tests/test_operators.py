@@ -1,8 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from wignerlab.errors import (ConfigurationError, ContractError,
-                              ResourceError)
+from wignerlab.cli import load_config
+from wignerlab.errors import ConfigurationError, ContractError
 from wignerlab.operators import (VelocityMesh, WignerKernel, apply_A,
                                  apply_B, apply_theta, build_theta_kernel,
                                  materialize, operator_norm)
@@ -104,7 +106,8 @@ def test_zero_potential_kernel(quad):
     np.testing.assert_array_equal(apply_theta(kernel, f), 0.0)
     np.testing.assert_array_equal(apply_A(kernel, f), 0.0)
     np.testing.assert_array_equal(apply_B(kernel, f), 0.0)
-    assert operator_norm(kernel, "theta") == 0.0
+    for which in ("theta", "A", "B"):
+        assert operator_norm(kernel, which) == 0.0
 
 
 @pytest.mark.parametrize("n_v", [4, 8, 64, 256])
@@ -125,9 +128,8 @@ def test_stacked_kernel_applies_each_node(barrier, quad, which, apply):
     mesh = VelocityMesh(16, 1 / 64)
     kernels = [build_theta_kernel(barrier, x, mesh, quad)
                for x in (-3.0, -0.7, 0.0, 1.2, 10.0)]
-    stacked = WignerKernel(symbol=np.array([k.symbol for k in kernels]),
-                           shift=np.array([k.shift for k in kernels]),
-                           mesh=mesh)
+    stacked = WignerKernel(diff=np.array([k.diff for k in kernels]),
+                           quad=quad, mesh=mesh)
     f = np.random.default_rng(5).standard_normal((len(kernels), 16))
     want = np.array([materialize(k, which) @ row
                      for k, row in zip(kernels, f)])
@@ -176,15 +178,40 @@ def test_theta_norm_bounded_by_twice_potential(barrier, quad):
         assert 0 < norm <= 2 * barrier.max_abs + 1e-8
 
 
-def test_norm_guard(barrier):
-    mesh = VelocityMesh(8192, 1 / 8192)
-    kernel = build_theta_kernel(barrier, 10.0, mesh,
-                                QuadratureSpec(l_y=4, dy=0.5))
-    with pytest.raises(ResourceError):
-        operator_norm(kernel, "theta")
+@pytest.mark.parametrize("which", ["theta", "A", "B"])
+@pytest.mark.parametrize("n_v", [64, 512, 2048])
+@pytest.mark.parametrize("x", [1.0, 10.0])
+def test_factored_norm_matches_dense_svd(which, n_v, x):
+    # norms.cfg's barrier and quadrature at the window N_v = 2 R_h
+    kernel = build_theta_kernel(barrier_profile(), x,
+                                VelocityMesh(n_v, 1 / n_v),
+                                QuadratureSpec(l_y=31, dy=0.5))
+    dense = np.linalg.norm(materialize(kernel, which), 2)
+    assert dense > 0
+    assert abs(operator_norm(kernel, which) - dense) <= 1e-12 * dense
+
+
+def test_norms_past_the_dense_reach():
+    # norms.cfg's kernel at R_h = 2048, 4096 and 8192: N_v up to 16384,
+    # where the dense operator alone would take 2 GiB.
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs"
+                      / "norms.cfg")
+    rows = []
+    for r_h in (2048, 4096, 8192):
+        kernel = build_theta_kernel(cfg.profile(), cfg.norm_position,
+                                    VelocityMesh(2 * r_h, 1 / (2 * r_h)),
+                                    cfg.quad())
+        rows.append([operator_norm(kernel, w) for w in ("theta", "A", "B")])
+    theta, a, b = np.array(rows).T
+    assert np.all(theta <= 2 * cfg.profile().max_abs)
+    assert b.max() / b.min() <= 2
+    growth = a[1:] / a[:-1]
+    assert np.all(np.abs(growth / np.sqrt(2) - 1) <= 0.2)
 
 
 def test_unknown_operator_rejected(barrier, quad):
     kernel = kernel_at(barrier, quad)
     with pytest.raises(ContractError):
         materialize(kernel, "C")
+    with pytest.raises(ContractError):
+        operator_norm(kernel, "C")
