@@ -27,6 +27,7 @@ iterations of the 'improved' scheme does not grow as the mesh is refined.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -62,6 +63,7 @@ class SpatialMesh:
             raise ConfigurationError(
                 f"N_x must be an integer of at least 4 for the upwind "
                 f"stencil, got {self.n_x}")
+        object.__setattr__(self, "n_x", int(self.n_x))
         if not 0 < self.length < np.inf:
             raise ConfigurationError(
                 f"device length must be positive and finite, got "
@@ -87,13 +89,15 @@ class BoundaryConditions:
 
 @dataclass
 class WignerSolution:
-    """Grid function f(x_i, v_n) with its meshes, scheme tag, solve residual
-    and GMRES iteration count."""
+    """Grid function f(x_i, v_n) with its meshes, scheme tag, the kernel its
+    solve sampled (`BlockSystem.coupling`, which diagnostics read), solve
+    residual and GMRES iteration count."""
 
     smesh: SpatialMesh
     vmesh: VelocityMesh
     values: np.ndarray  # shape (N_x + 1, N_v)
     scheme: str
+    coupling: WignerKernel
     residual: float = 0.0
     iterations: int = 0
 
@@ -149,10 +153,7 @@ def assemble_system(profile: PotentialProfile, smesh: SpatialMesh,
     rhs[n_x, neg] = bc.f_right(v[neg])
     inflow = np.zeros((n_x + 1, n_v), dtype=bool)
     inflow[0, pos] = inflow[n_x, neg] = True
-    kernels = [build_theta_kernel(profile, x, vmesh, quad)
-               for x in smesh.nodes]
-    coupling = WignerKernel(diff=np.array([k.diff for k in kernels]),
-                            quad=quad, mesh=vmesh)
+    coupling = build_theta_kernel(profile, smesh.nodes, vmesh, quad)
     return BlockSystem(coupling=coupling, inflow=inflow, stencil=stencil,
                        rhs=rhs, smesh=smesh, vmesh=vmesh, scheme=scheme)
 
@@ -290,7 +291,8 @@ def solve(system: BlockSystem) -> WignerSolution:
         raise SolverError(
             f"solve residual {rel:.3e} exceeds tolerance {RESIDUAL_TOL:.0e}")
     return WignerSolution(smesh=system.smesh, vmesh=system.vmesh,
-                          values=values, scheme=system.scheme, residual=rel,
+                          values=values, scheme=system.scheme,
+                          coupling=system.coupling, residual=rel,
                           iterations=iterations)
 
 
@@ -302,8 +304,9 @@ def solve_bvp(profile: PotentialProfile, smesh: SpatialMesh,
 
 
 def solution_to_csv(sol: WignerSolution, target) -> None:
-    """Write `x,v,f` rows, one grid point per line, 17 significant digits."""
-    own = isinstance(target, (str, bytes))
+    """Write `x,v,f` rows, one grid point per line, 17 significant digits,
+    to a path or to an open text file."""
+    own = isinstance(target, (str, bytes, os.PathLike))
     fh = open(target, "w", encoding="utf-8") if own else target
     try:
         fh.write("x,v,f\n")

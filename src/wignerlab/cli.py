@@ -402,17 +402,11 @@ def run_constraint_study(cfg: RunConfig, out_dir: Path,
     levels = _levels(cfg, "constraint")
     out_dir.mkdir(parents=True, exist_ok=True)
     sweeps = _velocity_sweeps(cfg, schemes, levels)
-    profile = cfg.profile()
-    quad = cfg.quad()
     report = ExperimentReport(axis="velocity", metadata={"levels": levels,
                                                          "quantity": "S"})
     for scheme, sols in sweeps.items():
-        residuals = []
-        for sol in sols:
-            kernels = [build_theta_kernel(profile, x, sol.vmesh, quad)
-                       for x in sol.smesh.nodes]
-            residuals.append(constraint_residual(sol, kernels))
-        report.add_scheme(scheme, levels, residuals)
+        report.add_scheme(scheme, levels,
+                          [constraint_residual(sol) for sol in sols])
     (out_dir / "report.csv").write_text(report.to_csv(), encoding="utf-8")
     return report
 
@@ -424,7 +418,7 @@ def run_solve(cfg: RunConfig, out_dir: Path, schemes=None) -> dict:
     out = {}
     for scheme in schemes:
         sol = _solve_one(cfg, scheme, cfg.n_x, cfg.n_v, cfg.r_h)
-        solution_to_csv(sol, str(out_dir / f"solution_{scheme}.csv"))
+        solution_to_csv(sol, out_dir / f"solution_{scheme}.csv")
         out[scheme] = sol
     return out
 

@@ -31,7 +31,6 @@ import numpy as np
 
 from .bvp_solver import WignerSolution
 from .errors import ContractError
-from .operators import WignerKernel
 
 __all__ = ["l2_error", "convergence_order", "constraint_residual",
            "ExperimentReport"]
@@ -126,32 +125,31 @@ def convergence_order(errors) -> list[float]:
     return orders
 
 
-def constraint_residual(sol: WignerSolution, kernels) -> float:
-    """Largest scaled moment of the solution against the sampled kernel.
+def constraint_residual(sol: WignerSolution) -> float:
+    """Largest scaled moment of the solution against its sampled kernel.
 
     The continuum model conserves the zeroth kernel moment,
     int V_w(x, v) f(x, v) dv = 0 at every x.  The reported residual is
 
         S = h * max_i | sum_n f(x_i, v_n) V_w(x_i, v_n) dv |,
 
-    using the same quadrature samples of V_w as the solve (the kernel's
-    node-lattice column) and including the boundary nodes in the maximum.
+    using the very samples of V_w the solve used, V_w(x_i, v_n) =
+    -a_n with a_n = V_w(x_i, -v_n) the shift of `sol.coupling`, and
+    including the boundary nodes in the maximum.
     The h = dv/(2*pi) scaling expresses the moment in the units of the
     assembled operator rows, making values comparable across refinement
     levels; for a convergent scheme family S decays linearly in the mesh
     spacing.
     """
-    kernels = list(kernels)
-    if len(kernels) != sol.smesh.n_x + 1:
-        raise ContractError("one kernel per spatial node is required")
-    worst = 0.0
+    kernel = sol.coupling
+    if (kernel.mesh != sol.vmesh
+            or kernel.diff.shape[:-1] != (sol.smesh.n_x + 1,)):
+        raise ContractError("the coupling does not match the solution's "
+                            "velocity mesh and N_x + 1 nodes")
     dv = sol.vmesh.dv
-    for row, kernel in zip(sol.values, kernels):
-        if kernel.mesh != sol.vmesh:
-            raise ContractError("kernel velocity mesh differs from solution")
-        vw_nodes = -kernel.shift  # V_w(x, v_m) = -V_w(x, -v_m)
-        worst = max(worst, abs(float(np.dot(row, vw_nodes)) * dv))
-    return sol.vmesh.h * worst
+    return sol.vmesh.h * max(abs(float(np.dot(row, vw_nodes)) * dv)
+                             for row, vw_nodes in zip(sol.values,
+                                                      -kernel.shift))
 
 
 @dataclass

@@ -20,10 +20,11 @@ of rank at most 2*N_y whatever N_v is (Frensley, Phys. Rev. B 36, 1570,
 
 Products and norms go through the factors, O(N_v N_y) per node, so nothing
 of size N_v^2 is formed.  A kernel may stack several nodes' D_V along a
-leading axis; the operators then act on each node's row of f with that
-node's matrix, which is how the solver applies the coupling of the whole
-device at once.  `materialize` forms the dense matrices from the sampled
-`symbol` and `shift`; the tests hold the factored operators to it.
+leading axis, sampled in one call; the operators then act on each node's
+row of f with that node's matrix, which is how the solver applies the
+coupling of the whole device at once.  `materialize` forms the dense
+matrices from the sampled `symbol` and `shift`; the tests hold the factored
+operators to it.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ class VelocityMesh:
         if self.n_v < 2 or self.n_v % 2 != 0:
             raise ConfigurationError(
                 f"N_v must be even and >= 2, got {self.n_v}")
+        object.__setattr__(self, "n_v", int(self.n_v))
         if not 0 < self.h < np.inf:
             raise ConfigurationError(
                 f"h must be positive and finite, got {self.h}")
@@ -117,15 +119,17 @@ def check_memory(n_v: int, n_y: int, extra: int = 0) -> None:
             f"memory is {have / 2**30:.1f} GiB")
 
 
-def build_theta_kernel(profile: PotentialProfile, x: float,
-                       mesh: VelocityMesh, quad: QuadratureSpec) -> WignerKernel:
-    """Evaluate D_V for one spatial node and package it as a kernel."""
+def build_theta_kernel(profile: PotentialProfile, x, mesh: VelocityMesh,
+                       quad: QuadratureSpec) -> WignerKernel:
+    """Evaluate D_V at a node x, or at an array of nodes in one call, and
+    package it as a kernel whose leading axes are those of x; each node's
+    differences are bitwise those of its one-node kernel."""
     if not quad.l_y < mesh.r_h:
         raise ConfigurationError(
             f"aliasing guard violated: need L_y < R_h, got "
             f"L_y={quad.l_y} and R_h={mesh.r_h}")
     check_memory(mesh.n_v, quad.n_y)
-    diff = potential_difference(profile, x, quad.offsets)
+    diff = potential_difference(profile, np.expand_dims(x, -1), quad.offsets)
     return WignerKernel(diff=diff, quad=quad, mesh=mesh)
 
 

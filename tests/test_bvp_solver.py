@@ -95,6 +95,21 @@ def test_spatial_mesh_guard():
         SpatialMesh(length=-1, n_x=10)
 
 
+def test_integral_float_mesh_sizes_solve_as_ints(barrier, quad):
+    # a config parser or a caller may hand N_x and N_v over as floats
+    smesh, vmesh = SpatialMesh(10, 6.0), VelocityMesh(8.0, 1 / 32)
+    assert type(smesh.n_x) is int and type(vmesh.n_v) is int
+    for scheme in ("original", "improved"):
+        got = solve_bvp(barrier, smesh, vmesh, quad, scheme, gaussian_bc())
+        want = solve_bvp(barrier, SpatialMesh(10, 6), VelocityMesh(8, 1 / 32),
+                         quad, scheme, gaussian_bc())
+        np.testing.assert_array_equal(got.values, want.values)
+    with pytest.raises(ConfigurationError):
+        SpatialMesh(10, 6.5)
+    with pytest.raises(ConfigurationError):
+        VelocityMesh(8.5, 1 / 32)
+
+
 def test_unknown_scheme_rejected(barrier, quad):
     with pytest.raises(ConfigurationError):
         assemble_system(barrier, SpatialMesh(50, 6),
@@ -277,3 +292,12 @@ def test_csv_round_trip(barrier, quad):
     data = np.array([[float(t) for t in line.split(",")] for line in lines[1:]])
     np.testing.assert_array_equal(data[:, 2],
                                   sol.values.ravel())  # 17 digits round-trip
+
+
+def test_csv_to_path(barrier, quad, tmp_path):
+    sol = solve_bvp(barrier, SpatialMesh(length=50, n_x=4),
+                    VelocityMesh(4, 1 / 32), quad, "improved", gaussian_bc())
+    buf = io.StringIO()
+    solution_to_csv(sol, buf)
+    solution_to_csv(sol, tmp_path / "sol.csv")
+    assert (tmp_path / "sol.csv").read_text() == buf.getvalue()

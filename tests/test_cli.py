@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import wignerlab.bvp_solver as bvp_solver
 import wignerlab.cli as cli
 from wignerlab.cli import (RunConfig, load_config, main, parse_config,
                            run_constraint_study, run_figure_comparison,
@@ -227,6 +228,14 @@ class TestRunners:
             path = tmp_path / f"solution_{scheme}.csv"
             assert path.read_text().startswith("x,v,f\n")
 
+    def test_integral_float_sizes_solve_as_ints(self, tmp_path):
+        cfg = RunConfig(**{**TINY_FIELDS, "n_x": 6.0, "n_v": 8.0})
+        run_solve(cfg, tmp_path / "float", ["improved"])
+        run_solve(RunConfig(**TINY_FIELDS), tmp_path / "int", ["improved"])
+        name = "solution_improved.csv"
+        assert ((tmp_path / "float" / name).read_bytes()
+                == (tmp_path / "int" / name).read_bytes())
+
     def test_norms_csv(self, tmp_path):
         cfg = parse_config(TINY_TEXT + "levels = 16, 32\nnorm_position = 10\n")
         rows = run_norms(cfg, tmp_path)
@@ -321,7 +330,7 @@ class TestValidation:
         ("default_v", float("nan")), ("inflow_left", (1.0, 0.5, 0.0)),
         ("inflow_left", (1.0, 0.5, -1.0)),
         ("inflow_right", (float("nan"), 0.0, 1.0)), ("scheme", "wrong"),
-        ("norm_position", float("inf")),
+        ("norm_position", float("inf")), ("n_v", 8.5),
     ])
     def test_direct_construction_validates(self, field, value):
         RunConfig(**TINY_FIELDS)
@@ -390,6 +399,32 @@ class TestSharedSweep:
         assert calls == expected * 2
         shared = (tmp_path / "shared" / "report.csv").read_bytes()
         assert shared == (tmp_path / "fresh" / "report.csv").read_bytes()
+
+    def test_one_kernel_per_solve_and_none_in_constraint(self, tmp_path,
+                                                         monkeypatch):
+        cfg = parse_config(TINY_TEXT.replace("N_x = 6", "N_x = 10")
+                           + "levels = 32, 64, 128\n")
+        kernels, solves = [], []
+        for module, log in ((bvp_solver, "solver"), (cli, "cli")):
+            def counting(*args, _build=module.build_theta_kernel, _log=log):
+                kernels.append(_log)
+                return _build(*args)
+            monkeypatch.setattr(module, "build_theta_kernel", counting)
+        solve_bvp = cli.solve_bvp
+
+        def counting_solve(*args):
+            solves.append(args[4])
+            return solve_bvp(*args)
+
+        monkeypatch.setattr(cli, "solve_bvp", counting_solve)
+        cli._velocity_sweep.cache_clear()
+        run_v_convergence(cfg, tmp_path / "conv")
+        assert len(solves) == 6 and kernels == ["solver"] * 6
+        run_constraint_study(cfg, tmp_path / "shared")
+        assert len(solves) == 6 and kernels == ["solver"] * 6
+        cli._velocity_sweep.cache_clear()
+        run_constraint_study(cfg, tmp_path / "fresh")
+        assert len(solves) == 12 and kernels == ["solver"] * 12
 
 
 def test_interp_only_on_conv_v(tmp_path, capsys):

@@ -2,23 +2,32 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from wignerlab.bvp_solver import SpatialMesh, WignerSolution
+from wignerlab.bvp_solver import (BoundaryConditions, SpatialMesh,
+                                  WignerSolution, solve_bvp)
 from wignerlab.diagnostics import (ExperimentReport, constraint_residual,
                                    convergence_order, l2_error,
                                    resample_half_lines, sinc_resample)
 from wignerlab.errors import ContractError
 from wignerlab.operators import VelocityMesh, build_theta_kernel
 from wignerlab.potential import PotentialProfile, barrier_profile
-from wignerlab.wigner_potential import QuadratureSpec
+from wignerlab.wigner_potential import QuadratureSpec, wigner_potential
 
 
-def make_solution(n_x=8, n_v=8, h=1 / 32, values=None, length=50.0):
+def make_solution(n_x=8, n_v=8, h=1 / 32, values=None, length=50.0,
+                  profile=None, quad=QuadratureSpec(l_y=2, dy=0.5),
+                  kernel_nodes=None, kernel_mesh=None):
+    """A solution carrying its kernel, sampled at the mesh's nodes and on
+    its velocity mesh unless `kernel_nodes` or `kernel_mesh` say else."""
     smesh = SpatialMesh(length=length, n_x=n_x)
     vmesh = VelocityMesh(n_v, h)
     if values is None:
         values = np.zeros((n_x + 1, n_v))
+    coupling = build_theta_kernel(
+        profile or barrier_profile(),
+        smesh.nodes if kernel_nodes is None else kernel_nodes,
+        kernel_mesh or vmesh, quad)
     return WignerSolution(smesh=smesh, vmesh=vmesh, values=values,
-                          scheme="improved")
+                          scheme="improved", coupling=coupling)
 
 
 class TestL2Error:
@@ -112,42 +121,51 @@ class TestConvergenceOrder:
 
 
 class TestConstraintResidual:
-    def setup_method(self):
-        self.barrier = barrier_profile()
-        self.quad = QuadratureSpec(l_y=4, dy=0.5)
-
-    def kernels_for(self, sol):
-        return [build_theta_kernel(self.barrier, x, sol.vmesh, self.quad)
-                for x in sol.smesh.nodes]
+    quad = QuadratureSpec(l_y=4, dy=0.5)
 
     def test_zero_potential_gives_zero(self):
-        profile = PotentialProfile(segments=())
-        sol = make_solution(values=np.random.default_rng(3).random((9, 8)))
-        kernels = [build_theta_kernel(profile, x, sol.vmesh, self.quad)
-                   for x in sol.smesh.nodes]
-        assert constraint_residual(sol, kernels) == 0.0
+        sol = make_solution(values=np.random.default_rng(3).random((9, 8)),
+                            profile=PotentialProfile(segments=()),
+                            quad=self.quad)
+        assert constraint_residual(sol) == 0.0
 
     def test_even_functions_have_negligible_residual(self):
         rng = np.random.default_rng(4)
         half = rng.random((9, 4))
         values = np.concatenate([half[:, ::-1], half], axis=1)  # even in v
-        sol = make_solution(values=values)
-        kernels = self.kernels_for(sol)
+        sol = make_solution(values=values, quad=self.quad)
         norm = np.abs(values).max()
-        assert constraint_residual(sol, kernels) <= 1e-12 * norm
+        assert constraint_residual(sol) <= 1e-12 * norm
+
+    def test_matches_wigner_potential_on_a_solved_barrier(self):
+        # S reads the solve's own samples; the oracle samples V_w afresh
+        # at each node, on a 10-long device where the barrier couples most
+        # nodes
+        profile = barrier_profile(height=0.3, half_width=1.0,
+                                  device_length=10.0)
+        smesh = SpatialMesh(length=10.0, n_x=12)
+        vmesh = VelocityMesh(16, 1 / 16)
+        bc = BoundaryConditions(f_left=lambda v: np.exp(-(v - 1) ** 2),
+                                f_right=lambda v: 0.5 * np.exp(-v ** 2))
+        for scheme in ("original", "improved"):
+            sol = solve_bvp(profile, smesh, vmesh, self.quad, scheme, bc)
+            want = vmesh.h * max(
+                abs(np.sum(row * wigner_potential(profile, x, vmesh.nodes,
+                                                  self.quad)) * vmesh.dv)
+                for x, row in zip(smesh.nodes, sol.values))
+            assert want > 0
+            assert constraint_residual(sol) == pytest.approx(want, rel=1e-14)
 
     def test_mesh_mismatch_rejected(self):
-        sol = make_solution()
-        other = VelocityMesh(8, 1 / 64)
-        kernels = [build_theta_kernel(self.barrier, x, other, self.quad)
-                   for x in sol.smesh.nodes]
+        sol = make_solution(kernel_mesh=VelocityMesh(8, 1 / 64))
         with pytest.raises(ContractError):
-            constraint_residual(sol, kernels)
+            constraint_residual(sol)
 
     def test_kernel_count_mismatch_rejected(self):
-        sol = make_solution()
+        # one node short: a zip over nodes would silently drop the last
+        short = make_solution(kernel_nodes=SpatialMesh(50.0, 8).nodes[:-1])
         with pytest.raises(ContractError):
-            constraint_residual(sol, self.kernels_for(sol)[:-1])
+            constraint_residual(short)
 
 
 class TestExperimentReport:

@@ -5,8 +5,8 @@ import pytest
 
 from wignerlab.cli import load_config
 from wignerlab.errors import ConfigurationError, ContractError
-from wignerlab.operators import (VelocityMesh, WignerKernel, apply_A,
-                                 apply_B, apply_theta, build_theta_kernel,
+from wignerlab.operators import (VelocityMesh, apply_A, apply_B,
+                                 apply_theta, build_theta_kernel,
                                  materialize, operator_norm)
 from wignerlab.potential import PotentialProfile, barrier_profile
 from wignerlab.wigner_potential import QuadratureSpec, wigner_potential
@@ -123,13 +123,27 @@ def test_fast_matvec_matches_naive(barrier, quad, n_v):
             1.0, np.abs(naive).max())
 
 
+def test_vectorized_sampling_matches_one_node_kernels(barrier, quad):
+    # nodes from -3 to 3 by 0.25 put x +- y/2 on the barrier's edges
+    mesh = VelocityMesh(16, 1 / 64)
+    nodes = np.linspace(-3.0, 3.0, 25).reshape(5, 5)
+    stacked = build_theta_kernel(barrier, nodes, mesh, quad)
+    one_node = [[build_theta_kernel(barrier, x, mesh, quad) for x in row]
+                for row in nodes]
+    assert stacked.diff.shape == (5, 5, quad.n_y)
+    np.testing.assert_array_equal(
+        stacked.diff, [[k.diff for k in row] for row in one_node])
+    np.testing.assert_array_equal(
+        stacked.shift, [[k.shift for k in row] for row in one_node])
+    assert np.abs(stacked.shift).max() > 0
+
+
 @pytest.mark.parametrize("which,apply", [("A", apply_A), ("B", apply_B)])
 def test_stacked_kernel_applies_each_node(barrier, quad, which, apply):
     mesh = VelocityMesh(16, 1 / 64)
-    kernels = [build_theta_kernel(barrier, x, mesh, quad)
-               for x in (-3.0, -0.7, 0.0, 1.2, 10.0)]
-    stacked = WignerKernel(diff=np.array([k.diff for k in kernels]),
-                           quad=quad, mesh=mesh)
+    nodes = np.array([-3.0, -0.7, 0.0, 1.2, 10.0])
+    kernels = [build_theta_kernel(barrier, x, mesh, quad) for x in nodes]
+    stacked = build_theta_kernel(barrier, nodes, mesh, quad)
     f = np.random.default_rng(5).standard_normal((len(kernels), 16))
     want = np.array([materialize(k, which) @ row
                      for k, row in zip(kernels, f)])
