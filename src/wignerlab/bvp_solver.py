@@ -27,7 +27,6 @@ iterations of the 'improved' scheme does not grow as the mesh is refined.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -261,8 +260,8 @@ def solve(system: BlockSystem) -> WignerSolution:
     exact inverse of the upwind transport operator with the velocity
     coupling removed: one banded triangular solve per sign of v, on all
     velocity columns of that sign at once.  Raises SolverError when GMRES
-    reaches MAX_ITERATIONS or the relative residual of the whole system
-    exceeds RESIDUAL_TOL.
+    reaches MAX_ITERATIONS, an operation overflows or gives NaN, or the
+    relative residual of the whole system exceeds RESIDUAL_TOL.
     """
     shape = system.rhs.shape
     (_, lower, pos), (_, upper, neg) = _stencils(system)
@@ -279,13 +278,18 @@ def solve(system: BlockSystem) -> WignerSolution:
         return _apply_system(system, x.reshape(shape)).ravel()
 
     data = np.where(system.inflow, system.rhs, 0.0)
-    z, iterations = _gmres(matvec, precond,
-                           (system.rhs - _apply_system(system, data)).ravel())
-    values = z.reshape(shape)
-    values[system.inflow] = system.rhs[system.inflow]
-
-    rhs_norm = np.linalg.norm(system.rhs)
-    res = np.linalg.norm(_apply_system(system, values) - system.rhs)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            z, iterations = _gmres(
+                matvec, precond,
+                (system.rhs - _apply_system(system, data)).ravel())
+            values = z.reshape(shape)
+            values[system.inflow] = system.rhs[system.inflow]
+            rhs_norm = np.linalg.norm(system.rhs)
+            res = np.linalg.norm(_apply_system(system, values) - system.rhs)
+    except FloatingPointError as exc:
+        raise SolverError(
+            f"solve left the floating-point range: {exc}") from None
     rel = res / rhs_norm if rhs_norm > 0 else res
     if not np.isfinite(rel) or rel > RESIDUAL_TOL:
         raise SolverError(
@@ -303,17 +307,11 @@ def solve_bvp(profile: PotentialProfile, smesh: SpatialMesh,
     return solve(assemble_system(profile, smesh, vmesh, quad, scheme, bc))
 
 
-def solution_to_csv(sol: WignerSolution, target) -> None:
-    """Write `x,v,f` rows, one grid point per line, 17 significant digits,
-    to a path or to an open text file."""
-    own = isinstance(target, (str, bytes, os.PathLike))
-    fh = open(target, "w", encoding="utf-8") if own else target
-    try:
+def solution_to_csv(sol: WignerSolution, path) -> None:
+    """Write `x,v,f` rows, one grid point per line, 17 significant digits."""
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("x,v,f\n")
         vs = sol.vmesh.nodes
         for x, row in zip(sol.smesh.nodes, sol.values):
             for v, f in zip(vs, row):
                 fh.write(f"{x:.17g},{v:.17g},{f:.17g}\n")
-    finally:
-        if own:
-            fh.close()

@@ -12,15 +12,18 @@ norms       operator norms across a coherence-length sweep.
 
 Config files are line-oriented `key = value` pairs with `#` comments.
 Numeric values may carry a `pi` suffix (`0.5pi`).  Unknown keys are errors.
+The config is a study's only input: every driver takes `(cfg, out_dir)`,
+and `--scheme` replaces the config's `scheme` before it is checked.
 Exit codes: 0 success, 1 any other package error (such as a system too
-large for physical memory), 2 configuration error, 3 solver error.
+large for physical memory) or an output that cannot be written,
+2 configuration error (an unreadable config file included), 3 solver error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -47,6 +50,10 @@ _FIELDS = {
     "norm_position": "norm_position",
 }
 _REQUIRED_KEYS = {"N_x", "N_v", "R_h", "Ly", "dy"}
+
+# config `scheme` -> the schemes a study runs
+_SCHEMES = {"original": ("original",), "improved": ("improved",),
+            "both": ("original", "improved")}
 
 # study -> (default refinement levels, fewest levels that give an order);
 # conv-v and constraint share a default so that they share their solves
@@ -106,13 +113,18 @@ class RunConfig:
                 f"aliasing guard violated: need Ly < R_h, got Ly={self.l_y} "
                 f"and R_h={self.r_h}")
         self.profile()
-        if self.scheme not in ("original", "improved", "both"):
+        if self.scheme not in _SCHEMES:
             raise ConfigurationError(
                 f"scheme must be original, improved or both, got "
                 f"{self.scheme!r}")
         if not np.isfinite(self.norm_position):
             raise ConfigurationError(
                 f"norm_position must be finite, got {self.norm_position}")
+
+    @property
+    def schemes(self) -> tuple:
+        """The schemes a study runs, `both` expanded."""
+        return _SCHEMES[self.scheme]
 
     @property
     def h(self) -> float:
@@ -208,12 +220,11 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    return parse_config(Path(path).read_text(encoding="utf-8"))
-
-
-def _schemes(cfg: RunConfig, override: str | None) -> list[str]:
-    choice = override or cfg.scheme
-    return ["original", "improved"] if choice == "both" else [choice]
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read config {path}: {exc}") from None
+    return parse_config(text)
 
 
 def _levels(cfg: RunConfig, study: str) -> tuple:
@@ -266,10 +277,10 @@ def _velocity_sweep(cfg: RunConfig, scheme: str, levels: tuple) -> tuple:
                  for n_v in levels)
 
 
-def _velocity_sweeps(cfg: RunConfig, schemes, levels: tuple) -> dict:
+def _velocity_sweeps(cfg: RunConfig, levels: tuple) -> dict:
     """The sweep's solutions per scheme."""
     return {scheme: _velocity_sweep(cfg, scheme, levels)
-            for scheme in schemes or _schemes(cfg, None)}
+            for scheme in cfg.schemes}
 
 
 # --------------------------------------------------------------------------
@@ -327,14 +338,12 @@ def _svg_plot(path: Path, curves, title: str) -> None:
 # Subcommand drivers
 
 
-def run_figure_comparison(cfg: RunConfig, out_dir: Path,
-                          schemes=None) -> dict:
+def run_figure_comparison(cfg: RunConfig, out_dir: Path) -> dict:
     """Solve and dump f(x_loc, .) slices near the left contact and at the
     device center, per scheme, plus one SVG per location."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    schemes = schemes or _schemes(cfg, None)
     sols = {s: _solve_one(cfg, s, cfg.n_x, cfg.n_v, cfg.r_h)
-            for s in schemes}
+            for s in cfg.schemes}
     some = next(iter(sols.values()))
     locs = {"left": 1, "center": some.smesh.n_x // 2}
     v = some.vmesh.nodes
@@ -362,32 +371,26 @@ def run_figure_comparison(cfg: RunConfig, out_dir: Path,
     return result
 
 
-def run_v_convergence(cfg: RunConfig, out_dir: Path, schemes=None,
-                      interp: str = "linear") -> ExperimentReport:
+def run_v_convergence(cfg: RunConfig, out_dir: Path) -> ExperimentReport:
     """Velocity refinement sweep at fixed window: R_h = N_v/2 per level,
     errors against the finest level."""
     levels = _levels(cfg, "conv-v")
     out_dir.mkdir(parents=True, exist_ok=True)
-    sweeps = _velocity_sweeps(cfg, schemes, levels)
-    report = ExperimentReport(axis="velocity",
-                              metadata={"interp": interp, "levels": levels})
-    for scheme, sols in sweeps.items():
-        errors = [l2_error(sol, sols[-1], method=interp)
-                  for sol in sols[:-1]]
+    report = ExperimentReport(axis="velocity")
+    for scheme, sols in _velocity_sweeps(cfg, levels).items():
+        errors = [l2_error(sol, sols[-1]) for sol in sols[:-1]]
         report.add_scheme(scheme, levels[:-1], errors)
     (out_dir / "report.csv").write_text(report.to_csv(), encoding="utf-8")
     return report
 
 
-def run_x_convergence(cfg: RunConfig, out_dir: Path,
-                      schemes=None) -> ExperimentReport:
+def run_x_convergence(cfg: RunConfig, out_dir: Path) -> ExperimentReport:
     """Spatial refinement sweep on a fixed velocity grid, errors against the
     finest level restricted to each coarse (nested) grid."""
     levels = _levels(cfg, "conv-x")
     out_dir.mkdir(parents=True, exist_ok=True)
-    schemes = schemes or _schemes(cfg, None)
-    report = ExperimentReport(axis="space", metadata={"levels": levels})
-    for scheme in schemes:
+    report = ExperimentReport(axis="space")
+    for scheme in cfg.schemes:
         sols = [_solve_one(cfg, scheme, n_x, cfg.n_v, cfg.r_h)
                 for n_x in levels]
         errors = [l2_error(sol, sols[-1]) for sol in sols[:-1]]
@@ -396,27 +399,23 @@ def run_x_convergence(cfg: RunConfig, out_dir: Path,
     return report
 
 
-def run_constraint_study(cfg: RunConfig, out_dir: Path,
-                         schemes=None) -> ExperimentReport:
+def run_constraint_study(cfg: RunConfig, out_dir: Path) -> ExperimentReport:
     """Constraint residual S over the velocity refinement sweep."""
     levels = _levels(cfg, "constraint")
     out_dir.mkdir(parents=True, exist_ok=True)
-    sweeps = _velocity_sweeps(cfg, schemes, levels)
-    report = ExperimentReport(axis="velocity", metadata={"levels": levels,
-                                                         "quantity": "S"})
-    for scheme, sols in sweeps.items():
+    report = ExperimentReport(axis="velocity")
+    for scheme, sols in _velocity_sweeps(cfg, levels).items():
         report.add_scheme(scheme, levels,
                           [constraint_residual(sol) for sol in sols])
     (out_dir / "report.csv").write_text(report.to_csv(), encoding="utf-8")
     return report
 
 
-def run_solve(cfg: RunConfig, out_dir: Path, schemes=None) -> dict:
+def run_solve(cfg: RunConfig, out_dir: Path) -> dict:
     """Single solve per scheme; full solution dump."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    schemes = schemes or _schemes(cfg, None)
     out = {}
-    for scheme in schemes:
+    for scheme in cfg.schemes:
         sol = _solve_one(cfg, scheme, cfg.n_x, cfg.n_v, cfg.r_h)
         solution_to_csv(sol, out_dir / f"solution_{scheme}.csv")
         out[scheme] = sol
@@ -467,10 +466,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default="out")
-        p.add_argument("--scheme", choices=("original", "improved", "both"))
-        if name == "conv-v":
-            p.add_argument("--interp", choices=("sinc", "linear"),
-                           default="linear")
+        if name != "norms":
+            p.add_argument("--scheme")
     return parser
 
 
@@ -478,30 +475,26 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        out_dir = Path(args.out)
-        schemes = _schemes(cfg, args.scheme)
-        if args.command == "figure":
-            result = run_figure_comparison(cfg, out_dir, schemes)
+        if getattr(args, "scheme", None) is not None:
+            cfg = replace(cfg, scheme=args.scheme)
+        driver = {"figure": run_figure_comparison,
+                  "conv-v": run_v_convergence, "conv-x": run_x_convergence,
+                  "constraint": run_constraint_study, "solve": run_solve,
+                  "norms": run_norms}[args.command]
+        result = driver(cfg, Path(args.out))
+        if isinstance(result, ExperimentReport):
+            print(result.to_text(), end="")
+        elif args.command == "figure":
             for name, x_loc in result["locations"].items():
                 print(f"slice {name}: x = {x_loc:.6g}")
             if "center_ratio" in result:
                 print(f"center near-zero peak ratio (original/improved): "
                       f"{result['center_ratio']:.4f}")
-        elif args.command == "conv-v":
-            report = run_v_convergence(cfg, out_dir, schemes, args.interp)
-            print(report.to_text(), end="")
-        elif args.command == "conv-x":
-            report = run_x_convergence(cfg, out_dir, schemes)
-            print(report.to_text(), end="")
-        elif args.command == "constraint":
-            report = run_constraint_study(cfg, out_dir, schemes)
-            print(report.to_text(), end="")
         elif args.command == "solve":
-            sols = run_solve(cfg, out_dir, schemes)
-            for scheme, sol in sols.items():
+            for scheme, sol in result.items():
                 print(f"{scheme}: solved, residual {sol.residual:.3e}")
-        elif args.command == "norms":
-            for row in run_norms(cfg, out_dir):
+        else:
+            for row in result:
                 print(f"R_h={row['r_h']:g}: theta={row['norm_theta']:.6g} "
                       f"A={row['norm_A']:.6g} B={row['norm_B']:.6g}")
     except ConfigurationError as exc:
@@ -512,6 +505,9 @@ def main(argv=None) -> int:
         return 3
     except WignerlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # load_config reports its own; this is --out
+        print(f"error: cannot write to {args.out}: {exc}", file=sys.stderr)
         return 1
     return 0
 

@@ -8,19 +8,12 @@ with trapezoidal weights w in x (half weight at the device ends), so that a
 constant offset c on identical grids gives exactly c*sqrt(l * N_v * dv).
 
 Comparing solutions on different velocity grids needs resampling because
-offset grids at different resolutions share no nodes.  Two methods are
-provided:
-
-* 'linear' (default): the coarser solution is resampled onto the finer
-  grid, one velocity half-line at a time.  Distribution functions of
-  inflow problems are generically discontinuous across v = 0, so the
-  interpolant must never bridge that point; at the outer ends of each
-  half-line the last two nodes extrapolate linearly.  The norm is taken on
-  the fine grid.
-* 'sinc': the reference is evaluated at the coarse nodes through the
-  band-limited (sinc-series) interpolant its own grid defines, and the
-  norm is taken on the coarse grid.  Kept for sensitivity checks; the
-  kink at v = 0 makes band-limited resampling converge slowly there.
+offset grids at different resolutions share no nodes.  The coarser solution
+is resampled linearly onto the finer grid, one velocity half-line at a time:
+distribution functions of inflow problems are generically discontinuous
+across v = 0, so the interpolant must never bridge that point; at the outer
+ends of each half-line the last two nodes extrapolate linearly.  The norm is
+taken on the fine grid.
 """
 
 from __future__ import annotations
@@ -68,16 +61,6 @@ def resample_half_lines(v_from: np.ndarray, rows: np.ndarray,
     return out
 
 
-def sinc_resample(v_from: np.ndarray, dv: float, rows: np.ndarray,
-                  v_to: np.ndarray) -> np.ndarray:
-    """Evaluate the band-limited interpolant of a grid function.
-
-    f(v) = sum_n f_n sinc((v - v_n)/dv), truncated to the source grid.
-    """
-    kern = np.sinc((v_to[:, None] - v_from[None, :]) / dv)
-    return rows @ kern.T
-
-
 def _restrict_x(sol: WignerSolution, ref: WignerSolution) -> np.ndarray:
     """Reference values on the (nested) spatial grid of sol."""
     if not np.isclose(sol.smesh.length, ref.smesh.length):
@@ -89,22 +72,15 @@ def _restrict_x(sol: WignerSolution, ref: WignerSolution) -> np.ndarray:
     return ref.values[::step]
 
 
-def l2_error(sol: WignerSolution, ref: WignerSolution,
-             method: str = "linear") -> float:
+def l2_error(sol: WignerSolution, ref: WignerSolution) -> float:
     """Weighted L2 distance between a solution and a finer reference."""
     ref_on_sol_x = _restrict_x(sol, ref)
     dx = sol.smesh.dx
     if sol.vmesh == ref.vmesh:
         return _weighted_norm(sol.values - ref_on_sol_x, dx, sol.vmesh.dv)
-    if method == "linear":
-        coarse_on_ref = resample_half_lines(sol.vmesh.nodes, sol.values,
-                                            ref.vmesh.nodes)
-        return _weighted_norm(coarse_on_ref - ref_on_sol_x, dx, ref.vmesh.dv)
-    if method == "sinc":
-        ref_on_sol = sinc_resample(ref.vmesh.nodes, ref.vmesh.dv,
-                                   ref_on_sol_x, sol.vmesh.nodes)
-        return _weighted_norm(sol.values - ref_on_sol, dx, sol.vmesh.dv)
-    raise ContractError(f"unknown resampling method {method!r}")
+    coarse_on_ref = resample_half_lines(sol.vmesh.nodes, sol.values,
+                                        ref.vmesh.nodes)
+    return _weighted_norm(coarse_on_ref - ref_on_sol_x, dx, ref.vmesh.dv)
 
 
 def convergence_order(errors) -> list[float]:
@@ -161,7 +137,6 @@ class ExperimentReport:
 
     axis: str
     rows: dict[str, list[tuple[float, float, float]]] = field(default_factory=dict)
-    metadata: dict = field(default_factory=dict)
 
     def add_scheme(self, scheme: str, levels, errors) -> None:
         orders = [float("nan")] + convergence_order(errors)

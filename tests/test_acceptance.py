@@ -44,7 +44,7 @@ def v_sweep(tmp_path_factory):
                     levels=(64, 128, 256, 512, 1024))
     out = tmp_path_factory.mktemp("conv_v")
     start = time.perf_counter()
-    report = run_v_convergence(cfg, out, ["original", "improved"])
+    report = run_v_convergence(cfg, out)
     return report, time.perf_counter() - start
 
 
@@ -54,7 +54,7 @@ def x_sweep(tmp_path_factory):
                     l_y=64, dy=1.0, inflow_left=BEAM,
                     levels=(25, 50, 100, 200, 400))
     out = tmp_path_factory.mktemp("conv_x")
-    return run_x_convergence(cfg, out, ["original", "improved"])
+    return run_x_convergence(cfg, out)
 
 
 @pytest.fixture(scope="module")
@@ -63,14 +63,14 @@ def constraint_sweep(tmp_path_factory):
                     l_y=31, dy=1.0, inflow_left=BEAM,
                     levels=(64, 128, 256, 512, 1024))
     out = tmp_path_factory.mktemp("constraint")
-    return run_constraint_study(cfg, out, ["original", "improved"])
+    return run_constraint_study(cfg, out)
 
 
 @pytest.fixture(scope="module")
 def figure_result(tmp_path_factory):
     cfg = load_config(CONFIG_DIR / "figure.cfg")
     out = tmp_path_factory.mktemp("figure")
-    return run_figure_comparison(cfg, out, ["original", "improved"])
+    return run_figure_comparison(cfg, out)
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
 import re
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -180,6 +181,56 @@ class TestMain:
         assert (out / "report.csv").is_file()
         assert "aggregate order: nan" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("old,new", [
+        ("segment = -1.5, 1.5, 0.2", "segment = -1.5, 1.5, 1e150"),
+        ("device_length = 50", "device_length = 1e-310"),
+    ], ids=["huge-barrier", "tiny-device"])
+    def test_overflowing_solve_exits_with_solver_error(self, tmp_path,
+                                                       capsys, old, new):
+        # N_x = 10 puts a node at x = 5, where the barrier couples
+        # velocities, as in test_iteration_cap_exits_with_solver_error.
+        cfg_file = tmp_path / "huge.cfg"
+        cfg_file.write_text(TINY_TEXT.replace("N_x = 6", "N_x = 10")
+                            .replace(old, new))
+        code = main(["solve", "--config", str(cfg_file), "--out",
+                     str(tmp_path / "out")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith(
+            "solver error: solve left the floating-point range")
+
+    @pytest.mark.parametrize("case", ["missing", "directory", "latin-1",
+                                      "out-is-file"])
+    def test_file_errors_exit_without_traceback(self, tmp_path, capsys,
+                                                case):
+        cfg_file = tmp_path / "ok.cfg"
+        cfg_file.write_text(TINY_TEXT)
+        out = tmp_path / "out"
+        if case == "missing":
+            cfg_file = tmp_path / "missing.cfg"
+        elif case == "directory":
+            cfg_file = tmp_path
+        elif case == "latin-1":
+            cfg_file.write_bytes(b"# caf\xe9\n" + TINY_TEXT.encode())
+        else:
+            out.write_text("")
+        code = main(["solve", "--config", str(cfg_file), "--out", str(out)])
+        err = capsys.readouterr().err
+        if case == "out-is-file":
+            assert code == 1 and err.startswith("error: cannot write to")
+        else:
+            assert code == 2 and err.startswith(
+                "configuration error: cannot read config")
+
+    def test_bad_scheme_flag_is_a_configuration_error(self, tmp_path,
+                                                      capsys):
+        cfg_file = tmp_path / "ok.cfg"
+        cfg_file.write_text(TINY_TEXT)
+        code = main(["solve", "--config", str(cfg_file), "--out",
+                     str(tmp_path / "out"), "--scheme", "wrong"])
+        assert code == 2
+        assert "configuration error: scheme must be" in (
+            capsys.readouterr().err)
+
     def test_solve_success(self, tmp_path, capsys):
         cfg_file = tmp_path / "ok.cfg"
         cfg_file.write_text(TINY_TEXT)
@@ -222,16 +273,16 @@ class TestRunners:
 
     def test_solve_writes_solutions(self, tmp_path):
         cfg = parse_config(TINY_TEXT)
-        sols = run_solve(cfg, tmp_path, ["original", "improved"])
+        sols = run_solve(cfg, tmp_path)
         assert set(sols) == {"original", "improved"}
         for scheme in sols:
             path = tmp_path / f"solution_{scheme}.csv"
             assert path.read_text().startswith("x,v,f\n")
 
     def test_integral_float_sizes_solve_as_ints(self, tmp_path):
-        cfg = RunConfig(**{**TINY_FIELDS, "n_x": 6.0, "n_v": 8.0})
-        run_solve(cfg, tmp_path / "float", ["improved"])
-        run_solve(RunConfig(**TINY_FIELDS), tmp_path / "int", ["improved"])
+        cfg = RunConfig(**TINY_FIELDS, scheme="improved")
+        run_solve(replace(cfg, n_x=6.0, n_v=8.0), tmp_path / "float")
+        run_solve(cfg, tmp_path / "int")
         name = "solution_improved.csv"
         assert ((tmp_path / "float" / name).read_bytes()
                 == (tmp_path / "int" / name).read_bytes())
@@ -428,9 +479,13 @@ class TestSharedSweep:
 
 
 def test_interp_only_on_conv_v(tmp_path, capsys):
+    # --interp is gone from every subcommand, and norms reads no scheme
     cfg_file = tmp_path / "ok.cfg"
     cfg_file.write_text(TINY_TEXT)
-    with pytest.raises(SystemExit):
-        main(["solve", "--config", str(cfg_file), "--out",
-              str(tmp_path / "out"), "--interp", "sinc"])
-    assert "unrecognized arguments: --interp" in capsys.readouterr().err
+    for command, flag in (("solve", "--interp"), ("conv-v", "--interp"),
+                          ("norms", "--scheme")):
+        with pytest.raises(SystemExit):
+            main([command, "--config", str(cfg_file), "--out",
+                  str(tmp_path / "out"), flag, "improved"])
+        assert (f"unrecognized arguments: {flag}"
+                in capsys.readouterr().err)

@@ -6,7 +6,7 @@ from wignerlab.bvp_solver import (BoundaryConditions, SpatialMesh,
                                   WignerSolution, solve_bvp)
 from wignerlab.diagnostics import (ExperimentReport, constraint_residual,
                                    convergence_order, l2_error,
-                                   resample_half_lines, sinc_resample)
+                                   resample_half_lines)
 from wignerlab.errors import ContractError
 from wignerlab.operators import VelocityMesh, build_theta_kernel
 from wignerlab.potential import PotentialProfile, barrier_profile
@@ -56,12 +56,6 @@ class TestL2Error:
         with pytest.raises(ContractError):
             l2_error(sol, ref)
 
-    def test_unknown_method(self):
-        sol = make_solution(n_v=8, h=1 / 8)
-        ref = make_solution(n_v=16, h=1 / 16)
-        with pytest.raises(ContractError):
-            l2_error(sol, ref, method="cubic")
-
     def test_nested_x_restriction(self):
         # reference twice as fine in x; values sampled from a smooth function
         def fill(n_x, n_v, h):
@@ -86,12 +80,6 @@ class TestL2Error:
         rows = f(coarse.nodes)[None, :]
         out = resample_half_lines(coarse.nodes, rows, fine.nodes)
         np.testing.assert_allclose(out[0], f(fine.nodes), rtol=1e-13)
-
-    def test_sinc_resampling_reproduces_source_nodes(self):
-        mesh = VelocityMesh(16, 1 / 16)
-        rows = np.random.default_rng(2).random((3, 16))
-        out = sinc_resample(mesh.nodes, mesh.dv, rows, mesh.nodes)
-        np.testing.assert_allclose(out, rows, atol=1e-12)
 
 
 class TestConvergenceOrder:
