@@ -259,9 +259,13 @@ def solve(system: BlockSystem) -> WignerSolution:
     whose size the interior equations have.  The preconditioner M is the
     exact inverse of the upwind transport operator with the velocity
     coupling removed: one banded triangular solve per sign of v, on all
-    velocity columns of that sign at once.  Raises SolverError when GMRES
-    reaches MAX_ITERATIONS, an operation overflows or gives NaN, or the
-    relative residual of the whole system exceeds RESIDUAL_TOL.
+    velocity columns of that sign at once.  The right-hand side is divided
+    by the power of two that brings its largest entry into [1/2, 1), so
+    that no norm, the residual check's included, underflows or overflows;
+    the values are multiplied back, and the scaling is exact.  Raises
+    SolverError when GMRES reaches MAX_ITERATIONS, an operation overflows
+    or gives NaN, or the relative residual of the whole system exceeds
+    RESIDUAL_TOL.
     """
     shape = system.rhs.shape
     (_, lower, pos), (_, upper, neg) = _stencils(system)
@@ -277,16 +281,19 @@ def solve(system: BlockSystem) -> WignerSolution:
     def matvec(x: np.ndarray) -> np.ndarray:
         return _apply_system(system, x.reshape(shape)).ravel()
 
-    data = np.where(system.inflow, system.rhs, 0.0)
+    exponent = np.frexp(np.abs(system.rhs).max())[1]
+    rhs = np.ldexp(system.rhs, -exponent)
+    data = np.where(system.inflow, rhs, 0.0)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            z, iterations = _gmres(
-                matvec, precond,
-                (system.rhs - _apply_system(system, data)).ravel())
+            z, iterations = _gmres(matvec, precond,
+                                   (rhs - _apply_system(system, data)).ravel())
             values = z.reshape(shape)
+            values[system.inflow] = rhs[system.inflow]
+            rhs_norm = np.linalg.norm(rhs)
+            res = np.linalg.norm(_apply_system(system, values) - rhs)
+            values = np.ldexp(values, exponent)
             values[system.inflow] = system.rhs[system.inflow]
-            rhs_norm = np.linalg.norm(system.rhs)
-            res = np.linalg.norm(_apply_system(system, values) - system.rhs)
     except FloatingPointError as exc:
         raise SolverError(
             f"solve left the floating-point range: {exc}") from None

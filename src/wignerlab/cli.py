@@ -14,6 +14,13 @@ Config files are line-oriented `key = value` pairs with `#` comments.
 Numeric values may carry a `pi` suffix (`0.5pi`).  Unknown keys are errors.
 The config is a study's only input: every driver takes `(cfg, out_dir)`,
 and `--scheme` replaces the config's `scheme` before it is checked.
+
+A study builds the meshes of every refinement level before its first
+solve, so a bad level stops it before any work.  Every solving study then
+solves through one sweep, which keeps its two latest results, keyed on the
+config, the scheme and the meshes: `conv-v` and `constraint`, and `figure`
+and `solve`, on one config share their solves.
+
 Exit codes: 0 success, 1 any other package error (such as a system too
 large for physical memory) or an output that cannot be written,
 2 configuration error (an unreadable config file included), 3 solver error.
@@ -29,8 +36,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bvp_solver import (BoundaryConditions, SpatialMesh, WignerSolution,
-                         solution_to_csv, solve_bvp)
+from .bvp_solver import (BoundaryConditions, SpatialMesh, solution_to_csv,
+                         solve_bvp)
 from .diagnostics import ExperimentReport, constraint_residual, l2_error
 from .errors import ConfigurationError, SolverError, WignerlabError
 from .operators import VelocityMesh, build_theta_kernel, operator_norm
@@ -55,14 +62,20 @@ _REQUIRED_KEYS = {"N_x", "N_v", "R_h", "Ly", "dy"}
 _SCHEMES = {"original": ("original",), "improved": ("improved",),
             "both": ("original", "improved")}
 
-# study -> (default refinement levels, fewest levels that give an order);
-# conv-v and constraint share a default so that they share their solves
+# study -> (default refinement levels, fewest levels that give an order,
+# the (N_x, N_v, R_h) that one level solves at).  figure and solve read no
+# levels and solve once, at the config's own sizes.  conv-v and constraint
+# share a default so that they share their solves.
 _VELOCITY_LEVELS = (64, 128, 256, 512, 1024)
-_LEVELS = {
-    "conv-v": (_VELOCITY_LEVELS, 3),
-    "constraint": (_VELOCITY_LEVELS, 2),
-    "conv-x": ((25, 50, 100, 200, 400), 3),
-    "norms": ((32, 64, 128, 256, 512), 1),
+_STUDIES = {
+    "figure": ((None,), 0, lambda c, _: (c.n_x, c.n_v, c.r_h)),
+    "solve": ((None,), 0, lambda c, _: (c.n_x, c.n_v, c.r_h)),
+    "conv-v": (_VELOCITY_LEVELS, 3, lambda c, n_v: (c.n_x, n_v, n_v / 2)),
+    "constraint": (_VELOCITY_LEVELS, 2, lambda c, n_v: (c.n_x, n_v, n_v / 2)),
+    "conv-x": ((25, 50, 100, 200, 400), 3,
+               lambda c, n_x: (n_x, c.n_v, c.r_h)),
+    "norms": ((32, 64, 128, 256, 512), 1,
+              lambda c, r_h: (c.n_x, int(2 * r_h), r_h)),
 }
 
 
@@ -132,8 +145,7 @@ class RunConfig:
 
     def profile(self) -> PotentialProfile:
         return PotentialProfile(segments=self.segments,
-                                default_value=self.default_v,
-                                device_length=self.device_length)
+                                default_value=self.default_v)
 
     def quad(self) -> QuadratureSpec:
         return QuadratureSpec(l_y=self.l_y, dy=self.dy)
@@ -227,60 +239,46 @@ def load_config(path) -> RunConfig:
     return parse_config(text)
 
 
-def _levels(cfg: RunConfig, study: str) -> tuple:
-    """The study's refinement levels, the config's or the default, checked
-    before any solve: positive, strictly ascending and enough of them for
-    an order; for `conv-x`, each also divides the finest, so the coarse
-    grids nest in it; for `conv-v`, each has at least 4 velocities, because
-    its error resamples each half-line linearly, which takes two nodes.
-    Each velocity level's mesh is built here, so that its own rules reject
-    a bad level before the first solve.  (A spatial level below the
-    stencil's minimum is the first one solved, and its mesh rejects it
-    before any solve.)"""
-    default, fewest = _LEVELS[study]
-    levels = cfg.levels or default
-    if (len(levels) < fewest
-            or not all(a < b for a, b in zip((0,) + levels, levels))):
-        raise ConfigurationError(
-            f"{study} needs at least {fewest} positive, strictly ascending "
-            f"refinement levels, got {levels}")
-    if study == "conv-x" and any(levels[-1] % n_x for n_x in levels):
-        raise ConfigurationError(
-            f"conv-x levels must each divide the finest, got {levels}")
-    if study == "conv-v" and levels[0] < 4:
-        raise ConfigurationError(
-            f"conv-v levels need N_v >= 4, two velocities on each "
-            f"half-line, got {levels}")
-    if study in ("conv-v", "constraint"):
-        for n_v in levels:
-            VelocityMesh(n_v, 1.0 / n_v)
-    return levels
+def _meshes(cfg: RunConfig, study: str) -> tuple:
+    """The study's levels and the (SpatialMesh, VelocityMesh) of each level,
+    all built before any solve, so that a bad level stops the study first.
 
-
-def _solve_one(cfg: RunConfig, scheme: str, n_x: int, n_v: int,
-               r_h: float) -> WignerSolution:
-    smesh = SpatialMesh(length=cfg.device_length, n_x=n_x)
-    vmesh = VelocityMesh(n_v, 1.0 / (2 * r_h))
-    return solve_bvp(cfg.profile(), smesh, vmesh, cfg.quad(), scheme,
-                     cfg.boundary_conditions())
+    Levels are the config's or the study's default: positive, strictly
+    ascending and enough of them for an order; for `conv-x`, each also
+    divides the finest, so the coarse grids nest in it; for `conv-v`, each
+    has at least 4 velocities, because its error resamples each half-line
+    linearly, which takes two nodes.  The meshes check the rest, such as an
+    odd N_v or an N_x below the upwind stencil's minimum.
+    """
+    levels, fewest, sizes = _STUDIES[study]
+    if fewest:
+        levels = cfg.levels or levels
+        if (len(levels) < fewest
+                or not all(a < b for a, b in zip((0,) + levels, levels))):
+            raise ConfigurationError(
+                f"{study} needs at least {fewest} positive, strictly "
+                f"ascending refinement levels, got {levels}")
+        if study == "conv-x" and any(levels[-1] % n_x for n_x in levels):
+            raise ConfigurationError(
+                f"conv-x levels must each divide the finest, got {levels}")
+        if study == "conv-v" and levels[0] < 4:
+            raise ConfigurationError(
+                f"conv-v levels need N_v >= 4, two velocities on each "
+                f"half-line, got {levels}")
+    return levels, tuple(
+        (SpatialMesh(length=cfg.device_length, n_x=n_x),
+         VelocityMesh(n_v, 1.0 / (2 * r_h)))
+        for n_x, n_v, r_h in (sizes(cfg, level) for level in levels))
 
 
 @lru_cache(maxsize=2)
-def _velocity_sweep(cfg: RunConfig, scheme: str, levels: tuple) -> tuple:
-    """Solutions at each velocity level, coarse to fine, at the fixed window
-    R_h = N_v/2.
-
-    Cached on the config and the levels, so `conv-v` and `constraint` on
-    one config share their solves.
-    """
-    return tuple(_solve_one(cfg, scheme, cfg.n_x, n_v, n_v / 2)
-                 for n_v in levels)
-
-
-def _velocity_sweeps(cfg: RunConfig, levels: tuple) -> dict:
-    """The sweep's solutions per scheme."""
-    return {scheme: _velocity_sweep(cfg, scheme, levels)
-            for scheme in cfg.schemes}
+def _sweep(cfg: RunConfig, scheme: str, meshes: tuple) -> tuple:
+    """One scheme's solutions on the meshes, in order; every study solves
+    here.  The two latest sweeps are kept, keyed on the config, the scheme
+    and the meshes, so studies that solve the same meshes share them."""
+    return tuple(solve_bvp(cfg.profile(), smesh, vmesh, cfg.quad(), scheme,
+                           cfg.boundary_conditions())
+                 for smesh, vmesh in meshes)
 
 
 # --------------------------------------------------------------------------
@@ -341,9 +339,9 @@ def _svg_plot(path: Path, curves, title: str) -> None:
 def run_figure_comparison(cfg: RunConfig, out_dir: Path) -> dict:
     """Solve and dump f(x_loc, .) slices near the left contact and at the
     device center, per scheme, plus one SVG per location."""
+    _, meshes = _meshes(cfg, "figure")
     out_dir.mkdir(parents=True, exist_ok=True)
-    sols = {s: _solve_one(cfg, s, cfg.n_x, cfg.n_v, cfg.r_h)
-            for s in cfg.schemes}
+    sols = {s: _sweep(cfg, s, meshes)[0] for s in cfg.schemes}
     some = next(iter(sols.values()))
     locs = {"left": 1, "center": some.smesh.n_x // 2}
     v = some.vmesh.nodes
@@ -371,40 +369,40 @@ def run_figure_comparison(cfg: RunConfig, out_dir: Path) -> dict:
     return result
 
 
+def _convergence(cfg: RunConfig, out_dir: Path, study: str,
+                 axis: str) -> ExperimentReport:
+    """Sweep the study's levels per scheme and report each coarse level's
+    error against the finest."""
+    levels, meshes = _meshes(cfg, study)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    report = ExperimentReport(axis=axis)
+    for scheme in cfg.schemes:
+        sols = _sweep(cfg, scheme, meshes)
+        report.add_scheme(scheme, levels[:-1],
+                          [l2_error(sol, sols[-1]) for sol in sols[:-1]])
+    (out_dir / "report.csv").write_text(report.to_csv(), encoding="utf-8")
+    return report
+
+
 def run_v_convergence(cfg: RunConfig, out_dir: Path) -> ExperimentReport:
     """Velocity refinement sweep at fixed window: R_h = N_v/2 per level,
     errors against the finest level."""
-    levels = _levels(cfg, "conv-v")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report = ExperimentReport(axis="velocity")
-    for scheme, sols in _velocity_sweeps(cfg, levels).items():
-        errors = [l2_error(sol, sols[-1]) for sol in sols[:-1]]
-        report.add_scheme(scheme, levels[:-1], errors)
-    (out_dir / "report.csv").write_text(report.to_csv(), encoding="utf-8")
-    return report
+    return _convergence(cfg, out_dir, "conv-v", "velocity")
 
 
 def run_x_convergence(cfg: RunConfig, out_dir: Path) -> ExperimentReport:
     """Spatial refinement sweep on a fixed velocity grid, errors against the
     finest level restricted to each coarse (nested) grid."""
-    levels = _levels(cfg, "conv-x")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report = ExperimentReport(axis="space")
-    for scheme in cfg.schemes:
-        sols = [_solve_one(cfg, scheme, n_x, cfg.n_v, cfg.r_h)
-                for n_x in levels]
-        errors = [l2_error(sol, sols[-1]) for sol in sols[:-1]]
-        report.add_scheme(scheme, levels[:-1], errors)
-    (out_dir / "report.csv").write_text(report.to_csv(), encoding="utf-8")
-    return report
+    return _convergence(cfg, out_dir, "conv-x", "space")
 
 
 def run_constraint_study(cfg: RunConfig, out_dir: Path) -> ExperimentReport:
     """Constraint residual S over the velocity refinement sweep."""
-    levels = _levels(cfg, "constraint")
+    levels, meshes = _meshes(cfg, "constraint")
     out_dir.mkdir(parents=True, exist_ok=True)
     report = ExperimentReport(axis="velocity")
-    for scheme, sols in _velocity_sweeps(cfg, levels).items():
+    for scheme in cfg.schemes:
+        sols = _sweep(cfg, scheme, meshes)
         report.add_scheme(scheme, levels,
                           [constraint_residual(sol) for sol in sols])
     (out_dir / "report.csv").write_text(report.to_csv(), encoding="utf-8")
@@ -413,10 +411,11 @@ def run_constraint_study(cfg: RunConfig, out_dir: Path) -> ExperimentReport:
 
 def run_solve(cfg: RunConfig, out_dir: Path) -> dict:
     """Single solve per scheme; full solution dump."""
+    _, meshes = _meshes(cfg, "solve")
     out_dir.mkdir(parents=True, exist_ok=True)
     out = {}
     for scheme in cfg.schemes:
-        sol = _solve_one(cfg, scheme, cfg.n_x, cfg.n_v, cfg.r_h)
+        sol = _sweep(cfg, scheme, meshes)[0]
         solution_to_csv(sol, out_dir / f"solution_{scheme}.csv")
         out[scheme] = sol
     return out
@@ -430,13 +429,12 @@ def run_norms(cfg: RunConfig, out_dir: Path) -> list[dict]:
     |theta|_2 <= 2 max|V|, |B|_2 uniformly bounded, and |A|_2 ~ h^(-1/2)
     (growth by sqrt(2) per level).
     """
-    levels = _levels(cfg, "norms")
+    levels, meshes = _meshes(cfg, "norms")
     out_dir.mkdir(parents=True, exist_ok=True)
     profile = cfg.profile()
     quad = cfg.quad()
     rows = []
-    for r_h in levels:
-        vmesh = VelocityMesh(int(2 * r_h), 1.0 / (2 * r_h))
+    for r_h, (_, vmesh) in zip(levels, meshes):
         kernel = build_theta_kernel(profile, cfg.norm_position, vmesh, quad)
         rows.append({
             "r_h": r_h,

@@ -27,7 +27,6 @@ class PotentialProfile:
     segments: ordered tuple of (a, b, value) with a <= b; earlier entries
         shadow later ones where they overlap.
     default_value: energy outside every segment.
-    device_length: length l of the device interval [-l/2, l/2].
 
     Evaluation at interior points returns the segment value.  Exactly at a
     jump the profile takes the average of its one-sided limits: that is the
@@ -38,7 +37,6 @@ class PotentialProfile:
 
     segments: tuple[tuple[float, float, float], ...]
     default_value: float = 0.0
-    device_length: float = 50.0
 
     def __post_init__(self) -> None:
         segs = tuple((float(a), float(b), float(v)) for a, b, v in self.segments)
@@ -48,8 +46,6 @@ class PotentialProfile:
         if not np.isfinite(self.default_value):
             raise ConfigurationError(
                 f"non-finite default value {self.default_value}")
-        if not self.device_length > 0:
-            raise ConfigurationError("device_length must be positive")
         object.__setattr__(self, "segments", segs)
 
     @property
@@ -84,13 +80,10 @@ class PotentialProfile:
         return val[0] if scalar else val
 
 
-def barrier_profile(height: float = 0.2, half_width: float = 1.5,
-                    device_length: float = 50.0) -> PotentialProfile:
+def barrier_profile(height: float = 0.2,
+                    half_width: float = 1.5) -> PotentialProfile:
     """Square barrier of the given height centered at x = 0."""
-    return PotentialProfile(
-        segments=((-half_width, half_width, height),),
-        device_length=device_length,
-    )
+    return PotentialProfile(segments=((-half_width, half_width, height),))
 
 
 def potential_difference(profile: PotentialProfile, x, y) -> np.ndarray:

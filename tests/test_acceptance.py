@@ -205,7 +205,7 @@ def test_criterion_6_dense_oracles():
     # On a 10-long device the barrier reaches most nodes, so the systems
     # carry a velocity coupling; on the usual 50 every node of these meshes
     # has a zero kernel.
-    barrier = barrier_profile(device_length=10.0)
+    barrier = barrier_profile()
     quad = QuadratureSpec(l_y=4, dy=0.5)
     bc = gaussian_bc()
     worst = coupling = 0.0

@@ -129,22 +129,19 @@ def test_constant_potential_is_pure_transport(quad, scheme, level):
         assert np.abs(row - expected).max() <= 1e-12
 
 
-@pytest.fixture
-def short_barrier():
-    # On a 10-long device the barrier reaches most nodes, so the velocity
-    # coupling is nonzero there; on the usual 50 it vanishes at every node
-    # of a coarse mesh (the outer ones are out of reach, the centre is the
-    # barrier's symmetric point).
-    return barrier_profile(device_length=10)
+# Tests with `SpatialMesh(length=10)` solve on a 10-long device.  There
+# the barrier reaches most nodes, so the velocity coupling is nonzero; on
+# the usual 50 it vanishes at every node of a coarse mesh (the outer ones
+# are out of reach, the centre is the barrier's symmetric point).
 
 
 @pytest.mark.parametrize("scheme", ["original", "improved"])
-def test_assembly_matches_brute_force(short_barrier, quad, scheme):
+def test_assembly_matches_brute_force(barrier, quad, scheme):
     smesh = SpatialMesh(length=10, n_x=4)
     vmesh = VelocityMesh(4, 1 / 32)
     bc = gaussian_bc()
-    system = assemble_system(short_barrier, smesh, vmesh, quad, scheme, bc)
-    want_mat, want_rhs = brute_force_dense(short_barrier, smesh, vmesh,
+    system = assemble_system(barrier, smesh, vmesh, quad, scheme, bc)
+    want_mat, want_rhs = brute_force_dense(barrier, smesh, vmesh,
                                            quad, scheme, bc)
     blocks = want_mat.reshape(5, 4, 5, 4)[range(5), :, range(5), :]
     assert np.abs(blocks - blocks * np.eye(4)).max() > 0
@@ -155,10 +152,10 @@ def test_assembly_matches_brute_force(short_barrier, quad, scheme):
 
 
 @pytest.mark.parametrize("scheme", ["original", "improved"])
-def test_solve_matches_dense_solve(short_barrier, quad, scheme):
+def test_solve_matches_dense_solve(barrier, quad, scheme):
     smesh = SpatialMesh(length=10, n_x=6)
     vmesh = VelocityMesh(4, 1 / 32)
-    system = assemble_system(short_barrier, smesh, vmesh, quad, scheme,
+    system = assemble_system(barrier, smesh, vmesh, quad, scheme,
                              gaussian_bc())
     sol = solve(system)
     dense = np.linalg.solve(to_dense(system), system.rhs.ravel())
@@ -176,7 +173,7 @@ def test_small_solves_meet_tolerance_or_raise(n_x, n_v, height, scheme):
     # coupling vanishes.
     smesh = SpatialMesh(length=10, n_x=n_x)
     vmesh = VelocityMesh(n_v, 1 / 32)
-    system = assemble_system(barrier_profile(height, device_length=10),
+    system = assemble_system(barrier_profile(height),
                              smesh, vmesh, QuadratureSpec(l_y=4, dy=0.5),
                              scheme, gaussian_bc())
     try:
@@ -199,8 +196,7 @@ def test_constant_potential_needs_no_iterations(quad, scheme):
     assert sol.iterations == 0
 
 
-def test_schemes_differ_by_rank_one_coupling(short_barrier, quad):
-    barrier = short_barrier
+def test_schemes_differ_by_rank_one_coupling(barrier, quad):
     smesh = SpatialMesh(length=10, n_x=6)
     vmesh = VelocityMesh(8, 1 / 32)
     bc = gaussian_bc()
@@ -221,12 +217,12 @@ def test_schemes_differ_by_rank_one_coupling(short_barrier, quad):
 
 
 @pytest.mark.parametrize("scheme", ["original", "improved"])
-def test_coupled_solve_without_dense_blocks(short_barrier, quad, scheme):
+def test_coupled_solve_without_dense_blocks(barrier, quad, scheme):
     # N_v = 32768 at N_x = 6 would need 56 GiB of dense velocity blocks;
     # the matrix-free coupling needs the samples and the Krylov basis.
     smesh = SpatialMesh(length=10, n_x=6)
     vmesh = VelocityMesh(32768, 1 / 32768)
-    sol = solve_bvp(short_barrier, smesh, vmesh, quad, scheme,
+    sol = solve_bvp(barrier, smesh, vmesh, quad, scheme,
                     gaussian_bc())
     assert sol.residual <= RESIDUAL_TOL
     assert 0 < sol.iterations < 300
@@ -259,6 +255,28 @@ def test_solution_linear_in_inflow(barrier, quad):
     s2 = solve_bvp(barrier, smesh, vmesh, quad, "improved", bc2)
     scale = max(1.0, np.abs(s2.values).max())
     assert np.abs(s2.values - 2 * s1.values).max() <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("scheme", ["original", "improved"])
+def test_solution_scales_with_inflow_far_from_one(barrier, quad, scheme):
+    # The solve's norms square the entries: unscaled, they underflow to 0
+    # at 1e-300 (no iteration is run) and overflow at 1e300.
+    smesh = SpatialMesh(length=10, n_x=10)
+    vmesh = VelocityMesh(8, 1 / 32)
+    bc = gaussian_bc()
+    sols = {}
+    for amplitude in (1e-300, 1.0, 1e300):
+        scaled = BoundaryConditions(
+            f_left=lambda v, a=amplitude: a * bc.f_left(v),
+            f_right=lambda v, a=amplitude: a * bc.f_right(v))
+        sols[amplitude] = solve_bvp(barrier, smesh, vmesh, quad, scheme,
+                                    scaled)
+    unit = sols[1.0]
+    assert unit.iterations > 0
+    for amplitude, sol in sols.items():
+        assert sol.iterations == unit.iterations
+        assert (np.linalg.norm(sol.values / amplitude - unit.values)
+                <= 1e-12 * np.linalg.norm(unit.values))
 
 
 def test_residual_reported_and_small(barrier, quad):

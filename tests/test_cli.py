@@ -248,6 +248,7 @@ class TestRunners:
         outs = []
         for name in ("a", "b"):
             out = tmp_path / name
+            cli._sweep.cache_clear()  # solve again, not from the cache
             run_figure_comparison(cfg, out)
             outs.append({p.name: p.read_bytes()
                          for p in sorted(out.iterdir())})
@@ -282,6 +283,7 @@ class TestRunners:
     def test_integral_float_sizes_solve_as_ints(self, tmp_path):
         cfg = RunConfig(**TINY_FIELDS, scheme="improved")
         run_solve(replace(cfg, n_x=6.0, n_v=8.0), tmp_path / "float")
+        cli._sweep.cache_clear()  # the two configs compare equal
         run_solve(cfg, tmp_path / "int")
         name = "solution_improved.csv"
         assert ((tmp_path / "float" / name).read_bytes()
@@ -436,7 +438,7 @@ class TestSharedSweep:
             return solve_bvp(profile, smesh, vmesh, quad, scheme, bc)
 
         monkeypatch.setattr(cli, "solve_bvp", counting)
-        cli._velocity_sweep.cache_clear()
+        cli._sweep.cache_clear()
         run_v_convergence(cfg, tmp_path / "conv")
         report = run_constraint_study(cfg, tmp_path / "shared")
         assert all(row[1] > 0 for rows in report.rows.values()
@@ -445,7 +447,7 @@ class TestSharedSweep:
                     for n_v in (32, 64, 128)]
         assert calls == expected
 
-        cli._velocity_sweep.cache_clear()
+        cli._sweep.cache_clear()
         run_constraint_study(cfg, tmp_path / "fresh")
         assert calls == expected * 2
         shared = (tmp_path / "shared" / "report.csv").read_bytes()
@@ -468,17 +470,36 @@ class TestSharedSweep:
             return solve_bvp(*args)
 
         monkeypatch.setattr(cli, "solve_bvp", counting_solve)
-        cli._velocity_sweep.cache_clear()
+        cli._sweep.cache_clear()
         run_v_convergence(cfg, tmp_path / "conv")
         assert len(solves) == 6 and kernels == ["solver"] * 6
         run_constraint_study(cfg, tmp_path / "shared")
         assert len(solves) == 6 and kernels == ["solver"] * 6
-        cli._velocity_sweep.cache_clear()
+        cli._sweep.cache_clear()
         run_constraint_study(cfg, tmp_path / "fresh")
         assert len(solves) == 12 and kernels == ["solver"] * 12
 
 
-def test_interp_only_on_conv_v(tmp_path, capsys):
+    def test_figure_and_solve_share_one_solve_per_scheme(self, tmp_path,
+                                                         monkeypatch):
+        cfg = parse_config(TINY_TEXT)
+        solves = []
+        solve_bvp = cli.solve_bvp
+
+        def counting(*args):
+            solves.append(args[4])
+            return solve_bvp(*args)
+
+        monkeypatch.setattr(cli, "solve_bvp", counting)
+        cli._sweep.cache_clear()
+        run_figure_comparison(cfg, tmp_path / "figure")
+        sols = run_solve(cfg, tmp_path / "solve")
+        assert solves == ["original", "improved"]
+        assert all(sol.residual <= bvp_solver.RESIDUAL_TOL
+                   for sol in sols.values())
+
+
+def test_removed_flags_are_rejected(tmp_path, capsys):
     # --interp is gone from every subcommand, and norms reads no scheme
     cfg_file = tmp_path / "ok.cfg"
     cfg_file.write_text(TINY_TEXT)

@@ -129,8 +129,7 @@ class TestConstraintResidual:
         # S reads the solve's own samples; the oracle samples V_w afresh
         # at each node, on a 10-long device where the barrier couples most
         # nodes
-        profile = barrier_profile(height=0.3, half_width=1.0,
-                                  device_length=10.0)
+        profile = barrier_profile(height=0.3, half_width=1.0)
         smesh = SpatialMesh(length=10.0, n_x=12)
         vmesh = VelocityMesh(16, 1 / 16)
         bc = BoundaryConditions(f_left=lambda v: np.exp(-(v - 1) ** 2),

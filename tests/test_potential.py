@@ -54,11 +54,6 @@ def test_malformed_segment_rejected():
         PotentialProfile(segments=((2.0, 1.0, 0.5),))
 
 
-def test_nonpositive_device_length_rejected():
-    with pytest.raises(ConfigurationError):
-        PotentialProfile(segments=(), device_length=0.0)
-
-
 def test_difference_example(barrier):
     # V(2) - V(0) with x=1, y=2
     assert potential_difference(barrier, 1.0, 2.0) == pytest.approx(-0.2)
