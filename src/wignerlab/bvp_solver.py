@@ -18,11 +18,14 @@ takes O(N_x N_v) memory.
 
 The upwind stencil is the same for every v of one sign, so the system stores
 it once, as the three bands of one lower-triangular matrix of order N_x+1
-for v > 0; the v < 0 stencil is its mirror image.  The solver is GMRES
-preconditioned on the right by the transport sweep, the exact inverse of
-that stencil: one banded triangular solve per sign of v.  Because the
-discrete B[V] is bounded uniformly in the velocity mesh, the number of
-iterations of the 'improved' scheme does not grow as the mesh is refined.
+for v > 0; the v < 0 stencil is its mirror image.  Its exact inverse, the
+transport sweep, is one banded triangular solve per sign of v.  After the
+sweep the system is the identity plus the coupling, of rank at most
+2*N_y + 1 per node whatever N_v is, so the solver runs GMRES in the range
+of the coupling: on min(N_v, 2*N_y + 1) unknowns per coupled node, with
+one sweep per iteration.  Because the discrete B[V] is bounded uniformly in
+the velocity mesh, the number of iterations of the 'improved' scheme does
+not grow as the mesh is refined.
 """
 
 from __future__ import annotations
@@ -36,8 +39,9 @@ from scipy.linalg import lu_factor, lu_solve, solve_banded, solve_triangular
 
 from .errors import ConfigurationError, SolverError
 # `materialize` is not called here; the benchmark's tracer looks it up
-from .operators import (VelocityMesh, WignerKernel, apply_A, apply_B,
-                        build_theta_kernel, check_memory, materialize)
+from .operators import (VelocityMesh, WignerKernel, _thin_factors, apply_A,
+                        apply_B, build_theta_kernel, check_memory,
+                        materialize)
 from .potential import PotentialProfile
 from .wigner_potential import QuadratureSpec
 
@@ -133,9 +137,14 @@ def assemble_system(profile: PotentialProfile, smesh: SpatialMesh,
     if scheme not in ("original", "improved"):
         raise ConfigurationError(f"unknown scheme {scheme!r}")
     n_x, n_v, n_y = smesh.n_x, vmesh.n_v, quad.n_y
-    # the Krylov basis and every node's differences and shift
-    check_memory(n_v, n_y,
-                 8 * (n_x + 1) * (n_v * (MAX_ITERATIONS + 2) + n_y))
+    cols = 2 * n_y + 1  # of the thin factors, at most
+    # 16 (N_x+1, N_v) work arrays (solves at N_x = 100 and 400 peak at 11
+    # to 16), every node's differences, the thin factors and their three Q
+    # factors, and a Krylov basis of reduced vectors, min(N_v, cols)
+    # entries per node
+    check_memory(n_v, n_y, 8 * ((n_x + 1) * (16 * n_v + n_y) + 5 * n_v * cols
+                                + (MAX_ITERATIONS + 1) * (n_x + 1)
+                                * min(n_v, cols)))
     dx = smesh.dx
     v = vmesh.nodes
     pos = v > 0
@@ -193,28 +202,28 @@ def _apply_system(system: BlockSystem, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gmres(matvec, precond, b: np.ndarray) -> tuple[np.ndarray, int]:
-    """Right-preconditioned GMRES (Saad & Schultz 1986) from x0 = M b.
+def _gmres(matvec, b: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
+    """GMRES (Saad & Schultz 1986) for matvec(x) = b from x0 = 0, until the
+    residual norm is at most the absolute tolerance `tol`.
 
     Arnoldi with classical Gram-Schmidt, orthogonalised twice, and Givens
     rotations on the Hessenberg matrix.  A cycle ends when the rotated
     residual estimate reaches the tolerance; the true residual then decides
     whether to stop or restart from the new iterate.
     """
-    b_norm = np.linalg.norm(b)
-    tol = GMRES_TOL * b_norm
-    x = precond(b)
+    x = np.zeros(b.size)
+    r = b
     basis = np.empty((MAX_ITERATIONS + 1, b.size))
     iterations = 0
     while True:
-        r = b - matvec(x)
         beta = np.linalg.norm(r)
         if beta <= tol:
             return x, iterations
         if iterations == MAX_ITERATIONS:
+            # tol is GMRES_TOL times the norm the caller measures against
             raise SolverError(
                 f"GMRES did not converge in {iterations} iterations: "
-                f"relative residual {beta / b_norm:.3e}, tolerance "
+                f"relative residual {GMRES_TOL * beta / tol:.3e}, tolerance "
                 f"{GMRES_TOL:.0e}")
         m = MAX_ITERATIONS - iterations
         hess = np.zeros((m + 1, m))
@@ -224,7 +233,7 @@ def _gmres(matvec, precond, b: np.ndarray) -> tuple[np.ndarray, int]:
         basis[0] = r / beta
         k = 0
         while k < m:
-            w = matvec(precond(basis[k]))
+            w = matvec(basis[k])
             for _ in range(2):
                 h = basis[:k + 1] @ w
                 w -= h @ basis[:k + 1]
@@ -245,50 +254,93 @@ def _gmres(matvec, precond, b: np.ndarray) -> tuple[np.ndarray, int]:
                 break
             basis[k] = w / norm
         y = solve_triangular(hess[:k, :k], g[:k])
-        x = x + precond(y @ basis[:k])
+        x = x + y @ basis[:k]
         iterations += k
+        r = b - matvec(x)
 
 
 def solve(system: BlockSystem) -> WignerSolution:
-    """Solve the assembled system by transport-preconditioned GMRES.
+    """Solve the assembled system by GMRES in the range of the coupling.
 
-    The inflow rows are identity rows, so the inflow values are the data.
-    GMRES solves for the rest with the data moved to the right-hand side,
-    and stops when the true residual reaches GMRES_TOL times the norm of
-    that right-hand side: the forcing the data exert on the interior rows,
-    whose size the interior equations have.  The preconditioner M is the
-    exact inverse of the upwind transport operator with the velocity
-    coupling removed: one banded triangular solve per sign of v, on all
-    velocity columns of that sign at once.  The right-hand side is divided
-    by the power of two that brings its largest entry into [1/2, 1), so
-    that no norm, the residual check's included, underflows or overflows;
-    the values are multiplied back, and the scaling is exact.  Raises
-    SolverError when GMRES reaches MAX_ITERATIONS, an operation overflows
-    or gives NaN, or the relative residual of the whole system exceeds
-    RESIDUAL_TOL.
+    The inflow rows are identity rows, so the inflow values are the data;
+    the rest solve A f = b, with the data moved to the right-hand side b.
+    With T the upwind transport operator (the coupling removed), whose
+    inverse, the transport sweep, is one banded triangular solve per sign
+    of v, A T^-1 = I - U V^T: U holds P L at each coupled node, with L the
+    node-independent left factor of `operators._thin_factors` and P zeroing
+    the inflow rows, and V^T is T^-1 followed by each node's weighted right
+    factor.  With one Householder QR P L = Q G per row mask (interior, left
+    end, right end), f = T^-1 (b + Q c) where
+
+        (I - G V^T Q) c = G V^T b,
+
+    min(N_v, columns of L) unknowns per coupled node whatever N_v is (the
+    capacitance form of the Woodbury identity; Hager 1989).  GMRES solves
+    it from c = 0.  Q has orthonormal columns, so this residual is the true
+    residual of A T^-1 y = b at y = b + Q c; GMRES stops when it reaches
+    GMRES_TOL times the norm of b, the forcing the data exert on the
+    interior rows.  Nodes whose kernel is zero drop out; with none left, c
+    is empty and f = T^-1 b after no iteration.
+
+    The right-hand side is divided by the power of two that brings its
+    largest entry into [1/2, 1), so that no norm, the residual check's
+    included, underflows or overflows; the values are multiplied back, and
+    the scaling is exact.  Raises SolverError when GMRES reaches
+    MAX_ITERATIONS, an operation overflows or gives NaN, or the relative
+    residual of the whole system exceeds RESIDUAL_TOL.
     """
     shape = system.rhs.shape
     (_, lower, pos), (_, upper, neg) = _stencils(system)
     # reversed in x, the v > 0 stencil is upper triangular: no pivoting
 
-    def precond(r: np.ndarray) -> np.ndarray:
-        r = r.reshape(shape)
+    def sweep(r: np.ndarray) -> np.ndarray:  # T^-1
         z = np.empty(shape)
         z[pos] = solve_banded((0, 2), lower[::-1, ::-1], r[pos][::-1])[::-1]
         z[neg] = solve_banded((0, 2), upper, r[neg])
-        return z.ravel()
+        return z
 
-    def matvec(x: np.ndarray) -> np.ndarray:
-        return _apply_system(system, x.reshape(shape)).ravel()
+    kernel = system.coupling
+    which = "A" if system.scheme == "original" else "B"
+    left, right = _thin_factors(kernel, which)
+    width = min(left.shape)
+    coupled = np.flatnonzero(kernel.diff.any(axis=-1))
+    weights = np.tile(kernel.weights[coupled], 2)
+    shift = kernel.shift[coupled] if which == "B" else None
+    n_x = system.smesh.n_x
+    blocks = []  # (which coupled nodes, Q, G) for each row mask
+    for sel in ((coupled > 0) & (coupled < n_x), coupled == 0,
+                coupled == n_x):
+        if sel.any():
+            mask = system.inflow[coupled[sel][0], :, None]
+            blocks.append((sel, *np.linalg.qr(np.where(mask, 0.0, left))))
+
+    def lift(c: np.ndarray) -> np.ndarray:  # Q c on the grid
+        c = c.reshape(coupled.size, width)
+        y = np.zeros(shape)
+        for sel, q, _ in blocks:
+            y[coupled[sel]] = c[sel] @ q.T
+        return y
+
+    def reduce(z: np.ndarray) -> np.ndarray:  # G V^T z
+        rows = sweep(z)[coupled]
+        # w (f C), w (f S) and, for B, -a f: the weighted right factor
+        coef = (rows @ right) * weights
+        if shift is not None:
+            coef = np.column_stack([coef, -np.sum(shift * rows, axis=-1)])
+        out = np.empty((coupled.size, width))
+        for sel, _, g in blocks:
+            out[sel] = coef[sel] @ g.T
+        return out.ravel()
 
     exponent = np.frexp(np.abs(system.rhs).max())[1]
     rhs = np.ldexp(system.rhs, -exponent)
     data = np.where(system.inflow, rhs, 0.0)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            z, iterations = _gmres(matvec, precond,
-                                   (rhs - _apply_system(system, data)).ravel())
-            values = z.reshape(shape)
+            b = rhs - _apply_system(system, data)
+            c, iterations = _gmres(lambda c: c - reduce(lift(c)), reduce(b),
+                                   GMRES_TOL * np.linalg.norm(b))
+            values = sweep(b + lift(c))
             values[system.inflow] = rhs[system.inflow]
             rhs_norm = np.linalg.norm(rhs)
             res = np.linalg.norm(_apply_system(system, values) - rhs)

@@ -21,8 +21,10 @@ of rank at most 2*N_y whatever N_v is (Frensley, Phys. Rev. B 36, 1570,
 Products and norms go through the factors, O(N_v N_y) per node, so nothing
 of size N_v^2 is formed.  A kernel may stack several nodes' D_V along a
 leading axis, sampled in one call; the operators then act on each node's
-row of f with that node's matrix, which is how the solver applies the
-coupling of the whole device at once.  `materialize` forms the dense
+row of f with that node's matrix, which is how the solver forms its
+right-hand side and checks its residual on the whole device at once; its
+GMRES iteration uses the node-independent thin factors of
+`_thin_factors` instead.  `materialize` forms the dense
 matrices from the sampled `symbol` and `shift`; the tests hold the factored
 operators to it.
 """
@@ -186,29 +188,43 @@ def materialize(kernel: WignerKernel, which: str) -> np.ndarray:
     raise ContractError(f"unknown operator {which!r}")
 
 
+def _thin_factors(kernel: WignerKernel, which: str,
+                  weights=1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Thin factors L and R of theta, A or B, the operator at a node being
+    L R^T: for theta, L = 2*pi*h [S W, -C W] and R = [C, S]; A and B divide
+    row n of L by v_n, and B appends the column 2*pi*h to L and -a to R.
+
+    Returns L with `weights` for the diagonal of W, and R without B's last
+    column -a.  With weights 1 the pair is the same at every node: the
+    operator is then L diag(w, w, 1) [R, -a]^T, its nodes' weights and
+    shifts moved to the right.
+    """
+    if which not in ("theta", "A", "B"):
+        raise ContractError(f"unknown operator {which!r}")
+    sin, cos = kernel.tables
+    left = np.hstack([sin * weights, -cos * weights])
+    right = np.hstack([cos, sin])
+    if which == "B":
+        left = np.column_stack([left, np.ones(kernel.mesh.n_v)])
+    left *= 2 * np.pi * kernel.mesh.h
+    if which != "theta":
+        left /= kernel.mesh.nodes[:, None]
+    return left, right
+
+
 def operator_norm(kernel: WignerKernel, which: str) -> float:
     """Spectral norm (2-norm) of theta, A or B at one node.
 
-    The operator is L R^T with thin factors: for theta, L = 2*pi*h [S W,
-    -C W] and R = [C, S]; A and B divide row n of L by v_n, and B appends
-    the column 2*pi*h to L and -a to R.  With L = Q_L T_L and R = Q_R T_R,
-    the norm is that of T_L T_R^T, of order at most 2*N_y + 1.
+    With the thin factors L R^T of `_thin_factors`, L = Q_L T_L and
+    R = Q_R T_R, the norm is that of T_L T_R^T, of order at most
+    2*N_y + 1.
 
     Under mesh refinement (h -> 0 with the window fixed) the three norms
     behave differently: |theta|_2 <= 2 max|V|; |B|_2 stays uniformly
     bounded; |A|_2 grows like h^(-1/2), i.e. by sqrt(2) per halving of h.
     """
-    if which not in ("theta", "A", "B"):
-        raise ContractError(f"unknown operator {which!r}")
-    sin, cos = kernel.tables
-    w = kernel.weights
-    left = np.hstack([sin * w, -cos * w])
-    right = np.hstack([cos, sin])
+    left, right = _thin_factors(kernel, which, kernel.weights)
     if which == "B":
-        left = np.column_stack([left, np.ones(kernel.mesh.n_v)])
         right = np.column_stack([right, -kernel.shift])
-    left *= 2 * np.pi * kernel.mesh.h
-    if which != "theta":
-        left /= kernel.mesh.nodes[:, None]
     core = np.linalg.qr(left, mode="r") @ np.linalg.qr(right, mode="r").T
     return float(np.linalg.norm(core, 2))

@@ -167,7 +167,7 @@ def test_criterion_5_theta_bound_and_B_uniformity(norm_rows):
 
 
 def test_criterion_5_iterations_uniform_in_velocity_mesh():
-    # Uniformly bounded B means the transport-preconditioned GMRES needs no
+    # Uniformly bounded B means GMRES in the range of the coupling needs no
     # more iterations as the velocity mesh is refined at a fixed window.
     cfg = load_config(CONFIG_DIR / "conv_v.cfg")
     smesh = SpatialMesh(length=cfg.device_length, n_x=25)

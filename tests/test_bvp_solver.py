@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,10 +9,13 @@ from wignerlab.bvp_solver import (RESIDUAL_TOL, BoundaryConditions,
                                   SpatialMesh, _apply_system,
                                   assemble_system, solution_to_csv, solve,
                                   solve_bvp)
+from wignerlab.cli import load_config
 from wignerlab.errors import ConfigurationError, SolverError
 from wignerlab.operators import VelocityMesh
 from wignerlab.potential import PotentialProfile, barrier_profile
 from wignerlab.wigner_potential import QuadratureSpec
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture
@@ -163,6 +169,26 @@ def test_solve_matches_dense_solve(barrier, quad, scheme):
     assert np.abs(sol.values.ravel() - dense).max() <= 1e-11 * scale
 
 
+@pytest.mark.parametrize("scheme", ["original", "improved"])
+@pytest.mark.parametrize("n_v", [8, 64, 80])
+def test_solve_with_coupled_inflow_ends_matches_dense_solve(barrier, scheme,
+                                                            n_v):
+    # With L_y = 8 the kernel reaches the barrier from the inflow ends
+    # x = -5 and 5 of a 10-long device, so the end nodes' masked factors
+    # enter the reduced solve.  They have 2 N_y + 1 = 33 columns and N_v / 2
+    # unmasked rows: wide at N_v = 8, rank-deficient at 64, of full rank
+    # at 80.
+    system = assemble_system(barrier, SpatialMesh(length=10, n_x=6),
+                             VelocityMesh(n_v, 1 / 32),
+                             QuadratureSpec(l_y=8, dy=0.5), scheme,
+                             gaussian_bc())
+    assert system.coupling.diff[[0, -1]].any(axis=-1).all()
+    sol = solve(system)
+    dense = np.linalg.solve(to_dense(system), system.rhs.ravel())
+    scale = max(1.0, np.abs(dense).max())
+    assert np.abs(sol.values.ravel() - dense).max() <= 1e-11 * scale
+
+
 @settings(max_examples=60, deadline=None)
 @given(n_x=st.integers(4, 12), n_v=st.sampled_from([4, 6, 8, 10, 12, 14, 16]),
        height=st.floats(-2.0, 2.0), scheme=st.sampled_from(["original",
@@ -188,8 +214,8 @@ def test_small_solves_meet_tolerance_or_raise(n_x, n_v, height, scheme):
 
 @pytest.mark.parametrize("scheme", ["original", "improved"])
 def test_constant_potential_needs_no_iterations(quad, scheme):
-    # With no velocity coupling the transport preconditioner is the exact
-    # inverse, so its first application already solves the system.
+    # With no velocity coupling no node enters the reduced system, which
+    # is empty, so the transport sweep alone solves the system.
     profile = PotentialProfile(segments=(), default_value=0.3)
     sol = solve_bvp(profile, SpatialMesh(length=50, n_x=8),
                     VelocityMesh(8, 1 / 32), quad, scheme, gaussian_bc())
@@ -226,6 +252,20 @@ def test_coupled_solve_without_dense_blocks(barrier, quad, scheme):
                     gaussian_bc())
     assert sol.residual <= RESIDUAL_TOL
     assert 0 < sol.iterations < 300
+
+
+def test_memory_guard_counts_the_reduced_solve(monkeypatch):
+    # 8 GiB of physical memory: conv_v.cfg at N_x = 100, N_v = 65536 needs
+    # about 1 GiB, where a Krylov basis of full-length vectors would take
+    # 15 GiB.
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2 ** 21}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    cfg = load_config(CONFIG_DIR / "conv_v.cfg")
+    system = assemble_system(cfg.profile(),
+                             SpatialMesh(cfg.device_length, n_x=100),
+                             VelocityMesh(65536, 1 / 65536), cfg.quad(),
+                             "improved", cfg.boundary_conditions())
+    assert system.rhs.shape == (101, 65536)
 
 
 @pytest.mark.parametrize("scheme", ["original", "improved"])
