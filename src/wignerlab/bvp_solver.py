@@ -19,13 +19,15 @@ takes O(N_x N_v) memory.
 The upwind stencil is the same for every v of one sign, so the system stores
 it once, as the three bands of one lower-triangular matrix of order N_x+1
 for v > 0; the v < 0 stencil is its mirror image.  Its exact inverse, the
-transport sweep, is one banded triangular solve per sign of v.  After the
-sweep the system is the identity plus the coupling, of rank at most
+transport sweep, is one banded triangular solve for both signs of v.  After
+the sweep the system is the identity plus the coupling, of rank at most
 2*N_y + 1 per node whatever N_v is, so the solver runs GMRES in the range
-of the coupling: on min(N_v, 2*N_y + 1) unknowns per coupled node, with
-one sweep per iteration.  Because the discrete B[V] is bounded uniformly in
-the velocity mesh, the number of iterations of the 'improved' scheme does
-not grow as the mesh is refined.
+of the coupling: on min(N_v, 2*N_y + 1) unknowns per coupled node.  The
+sweep acts along x alone, so it commutes with the products over v, and an
+iteration sweeps (N_x+1, 4*N_y) projections of the grid instead of the
+grid: its cost does not depend on N_v.  Because the discrete B[V] is
+bounded uniformly in the velocity mesh, the number of iterations of the
+'improved' scheme does not grow as the mesh is refined either.
 """
 
 from __future__ import annotations
@@ -138,11 +140,14 @@ def assemble_system(profile: PotentialProfile, smesh: SpatialMesh,
         raise ConfigurationError(f"unknown scheme {scheme!r}")
     n_x, n_v, n_y = smesh.n_x, vmesh.n_v, quad.n_y
     cols = 2 * n_y + 1  # of the thin factors, at most
-    # 16 (N_x+1, N_v) work arrays (solves at N_x = 100 and 400 peak at 11
-    # to 16), every node's differences, the thin factors and their three Q
-    # factors, and a Krylov basis of reduced vectors, min(N_v, cols)
-    # entries per node
-    check_memory(n_v, n_y, 8 * ((n_x + 1) * (16 * n_v + n_y) + 5 * n_v * cols
+    # 16 (N_x+1, N_v) work arrays (a solve's tracemalloc peak, net of the
+    # Krylov basis and the factors, is 3.5 to 5 of them at N_x = 100,
+    # N_v = 8192 and N_x = 400, N_v = 2048), every node's differences, the
+    # thin factors and their three Q factors, the three E tables, six
+    # (N_x+1, 4 N_y) projected arrays, and a Krylov basis of reduced
+    # vectors, min(N_v, cols) entries per node
+    check_memory(n_v, n_y, 8 * ((n_x + 1) * (16 * n_v + n_y + 6 * 4 * n_y)
+                                + 5 * n_v * cols + 3 * cols * 4 * n_y
                                 + (MAX_ITERATIONS + 1) * (n_x + 1)
                                 * min(n_v, cols)))
     dx = smesh.dx
@@ -265,8 +270,8 @@ def solve(system: BlockSystem) -> WignerSolution:
     The inflow rows are identity rows, so the inflow values are the data;
     the rest solve A f = b, with the data moved to the right-hand side b.
     With T the upwind transport operator (the coupling removed), whose
-    inverse, the transport sweep, is one banded triangular solve per sign
-    of v, A T^-1 = I - U V^T: U holds P L at each coupled node, with L the
+    inverse is the transport sweep, A T^-1 = I - U V^T: U holds P L at each
+    coupled node, with L the
     node-independent left factor of `operators._thin_factors` and P zeroing
     the inflow rows, and V^T is T^-1 followed by each node's weighted right
     factor.  With one Householder QR P L = Q G per row mask (interior, left
@@ -282,6 +287,24 @@ def solve(system: BlockSystem) -> WignerSolution:
     interior rows.  Nodes whose kernel is zero drop out; with none left, c
     is empty and f = T^-1 b after no iteration.
 
+    T^-1 acts along x alone and is the same for every v of one sign, so it
+    commutes with the products over v (the mixed-product rule of Kronecker
+    products; Van Loan 2000).  With R_s and Q_s the rows of the right
+    factor R and of Q where v has the sign s, (V^T Q c) at node i is
+
+        w_i * sum_s sum_j T_s^-1[i, j] E_s c_j,   E_s = Q_s^T R_s,
+
+    with E_s tabulated once per row mask.  An iteration sweeps the
+    (N_x+1, 4 N_y) array of the [E_- c_j, E_+ c_j] and costs
+    O((coupled nodes) N_y^2) whatever N_v is; only the right-hand side,
+    whose products with R are taken once, and f are swept on the grid.
+    B's extra column -a of R equals S w at every node, because V_w is odd
+    in v, so its term is the sum of the S half of the weighted products;
+    it is folded into G, and both schemes run the same iteration.  The two
+    signs share one band solve: T_- = -D J T_+ J, with J reversing x and D
+    negating the inflow row, and T_+ reversed in x is upper triangular, so
+    LAPACK's band solver has nothing to pivot.
+
     The right-hand side is divided by the power of two that brings its
     largest entry into [1/2, 1), so that no norm, the residual check's
     included, underflows or overflows; the values are multiplied back, and
@@ -289,46 +312,63 @@ def solve(system: BlockSystem) -> WignerSolution:
     MAX_ITERATIONS, an operation overflows or gives NaN, or the relative
     residual of the whole system exceeds RESIDUAL_TOL.
     """
-    shape = system.rhs.shape
-    (_, lower, pos), (_, upper, neg) = _stencils(system)
-    # reversed in x, the v > 0 stencil is upper triangular: no pivoting
+    n_x, half = system.smesh.n_x, system.vmesh.n_v // 2
+    band = system.stencil[::-1, ::-1]  # reversed in x: upper triangular
 
-    def sweep(r: np.ndarray) -> np.ndarray:  # T^-1
-        z = np.empty(shape)
-        z[pos] = solve_banded((0, 2), lower[::-1, ::-1], r[pos][::-1])[::-1]
-        z[neg] = solve_banded((0, 2), upper, r[neg])
-        return z
+    def sweep(neg: np.ndarray, pos: np.ndarray) -> tuple:  # T^-1
+        # with U = J T_+ J, the band: T_-^-1 = U^-1 (-D), T_+^-1 = J U^-1 J
+        k = neg.shape[1]
+        r = np.empty((n_x + 1, k + pos.shape[1]), order="F")  # in place
+        np.negative(neg, out=r[:, :k])
+        r[-1, :k] = neg[-1]
+        r[:, k:] = pos[::-1]
+        z = solve_banded((0, 2), band, r, overwrite_b=True)
+        return z[:, :k], z[::-1, k:]
 
     kernel = system.coupling
     which = "A" if system.scheme == "original" else "B"
     left, right = _thin_factors(kernel, which)
+    n_y = right.shape[1] // 2
     width = min(left.shape)
     coupled = np.flatnonzero(kernel.diff.any(axis=-1))
     weights = np.tile(kernel.weights[coupled], 2)
-    shift = kernel.shift[coupled] if which == "B" else None
-    n_x = system.smesh.n_x
-    blocks = []  # (which coupled nodes, Q, G) for each row mask
+
+    def products(y: np.ndarray) -> np.ndarray:  # [y_- R_-, y_+ R_+]
+        return np.hstack([y[:, :half] @ right[:half],
+                          y[:, half:] @ right[half:]])
+
+    blocks = []  # (which coupled nodes, Q, E, G) for each row mask
     for sel in ((coupled > 0) & (coupled < n_x), coupled == 0,
                 coupled == n_x):
         if sel.any():
             mask = system.inflow[coupled[sel][0], :, None]
-            blocks.append((sel, *np.linalg.qr(np.where(mask, 0.0, left))))
+            q, g = np.linalg.qr(np.where(mask, 0.0, left))
+            # B's last column pairs with -a = S w (V_w is odd in v), so it
+            # adds to the columns of the S half; A has no such column
+            fold = g[:, :2 * n_y].copy()
+            fold[:, n_y:] += g[:, 2 * n_y:].sum(axis=1, keepdims=True)
+            blocks.append((sel, q, products(q.T), fold))
 
     def lift(c: np.ndarray) -> np.ndarray:  # Q c on the grid
         c = c.reshape(coupled.size, width)
-        y = np.zeros(shape)
-        for sel, q, _ in blocks:
+        y = np.zeros(system.rhs.shape)
+        for sel, q, _, _ in blocks:
             y[coupled[sel]] = c[sel] @ q.T
         return y
 
-    def reduce(z: np.ndarray) -> np.ndarray:  # G V^T z
-        rows = sweep(z)[coupled]
-        # w (f C), w (f S) and, for B, -a f: the weighted right factor
-        coef = (rows @ right) * weights
-        if shift is not None:
-            coef = np.column_stack([coef, -np.sum(shift * rows, axis=-1)])
+    def spread(c: np.ndarray) -> np.ndarray:  # products(lift(c))
+        c = c.reshape(coupled.size, width)
+        p = np.zeros((n_x + 1, 4 * n_y))
+        for sel, _, e, _ in blocks:
+            p[coupled[sel]] = c[sel] @ e
+        return p
+
+    def reduce(p: np.ndarray) -> np.ndarray:  # G V^T y from p = products(y)
+        # the sweep acts along x alone, so it commutes with R
+        z_neg, z_pos = sweep(p[:, :2 * n_y], p[:, 2 * n_y:])
+        coef = weights * (z_neg + z_pos)[coupled]
         out = np.empty((coupled.size, width))
-        for sel, _, g in blocks:
+        for sel, _, _, g in blocks:
             out[sel] = coef[sel] @ g.T
         return out.ravel()
 
@@ -338,9 +378,10 @@ def solve(system: BlockSystem) -> WignerSolution:
     try:
         with np.errstate(over="raise", invalid="raise"):
             b = rhs - _apply_system(system, data)
-            c, iterations = _gmres(lambda c: c - reduce(lift(c)), reduce(b),
+            c, iterations = _gmres(lambda c: c - reduce(spread(c)),
+                                   reduce(products(b)),
                                    GMRES_TOL * np.linalg.norm(b))
-            values = sweep(b + lift(c))
+            values = np.hstack(sweep(*np.hsplit(b + lift(c), 2)))
             values[system.inflow] = rhs[system.inflow]
             rhs_norm = np.linalg.norm(rhs)
             res = np.linalg.norm(_apply_system(system, values) - rhs)

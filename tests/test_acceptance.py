@@ -181,6 +181,21 @@ def test_criterion_5_iterations_uniform_in_velocity_mesh():
           f"(non-increasing)")
 
 
+def test_criterion_5_iterations_uniform_at_scale():
+    # The same bound at N_x = 100 up to N_v = 8192, where an iteration
+    # costs the same whatever N_v is.
+    cfg = load_config(CONFIG_DIR / "conv_v.cfg")
+    smesh = SpatialMesh(length=cfg.device_length, n_x=100)
+    counts = [solve_bvp(cfg.profile(), smesh, VelocityMesh(n_v, 1 / n_v),
+                        cfg.quad(), "improved",
+                        cfg.boundary_conditions()).iterations
+              for n_v in (1024, 2048, 4096, 8192)]
+    ok = 0 < counts[0] and all(b <= a for a, b in zip(counts, counts[1:]))
+    check("5 (GMRES iterations at scale)", ok,
+          f"improved iterations at N_v = 1024..8192, N_x = 100: {counts} "
+          f"(non-increasing)")
+
+
 def test_criterion_5_A_growth_window(norm_rows):
     # The spectral norm of the singular quotient A grows like h^(-1/2): it is
     # bounded below by the 2-norm of the row at the smallest |v_n| and above

@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wignerlab.bvp_solver import SpatialMesh
 from wignerlab.cli import load_config
 from wignerlab.errors import ConfigurationError, ContractError
 from wignerlab.operators import (VelocityMesh, apply_A, apply_B,
@@ -10,6 +11,8 @@ from wignerlab.operators import (VelocityMesh, apply_A, apply_B,
                                  materialize, operator_norm)
 from wignerlab.potential import PotentialProfile, barrier_profile
 from wignerlab.wigner_potential import QuadratureSpec, wigner_potential
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture
@@ -95,6 +98,20 @@ def test_symbol_and_shift_odd(barrier, quad):
     kernel = kernel_at(barrier, quad, x=7.1, n_v=16)
     np.testing.assert_array_equal(kernel.symbol, -kernel.symbol[::-1])
     assert np.abs(kernel.shift + kernel.shift[::-1]).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n_v", [64, 512, 4096])
+def test_shift_is_minus_sine_table_times_weights(n_v):
+    # -a = S w at every node because V_w is odd in v; the solver folds B's
+    # column -a into the S half of its thin factor on the strength of it.
+    cfg = load_config(CONFIG_DIR / "conv_v.cfg")
+    nodes = SpatialMesh(cfg.device_length, cfg.n_x).nodes
+    kernel = build_theta_kernel(cfg.profile(), nodes,
+                                VelocityMesh(n_v, 1 / n_v), cfg.quad())
+    sin, _ = kernel.tables
+    bound = 1e-14 * np.abs(kernel.shift).max()
+    assert bound > 0
+    assert np.abs(kernel.shift + kernel.weights @ sin.T).max() <= bound
 
 
 def test_zero_potential_kernel(quad):
@@ -208,8 +225,7 @@ def test_factored_norm_matches_dense_svd(which, n_v, x):
 def test_norms_past_the_dense_reach():
     # norms.cfg's kernel at R_h = 2048, 4096 and 8192: N_v up to 16384,
     # where the dense operator alone would take 2 GiB.
-    cfg = load_config(Path(__file__).resolve().parent.parent / "configs"
-                      / "norms.cfg")
+    cfg = load_config(CONFIG_DIR / "norms.cfg")
     rows = []
     for r_h in (2048, 4096, 8192):
         kernel = build_theta_kernel(cfg.profile(), cfg.norm_position,
