@@ -75,7 +75,7 @@ _STUDIES = {
     "conv-x": ((25, 50, 100, 200, 400), 3,
                lambda c, n_x: (n_x, c.n_v, c.r_h)),
     "norms": ((32, 64, 128, 256, 512), 1,
-              lambda c, r_h: (c.n_x, int(2 * r_h), r_h)),
+              lambda c, r_h: (c.n_x, 2 * r_h, r_h)),
 }
 
 

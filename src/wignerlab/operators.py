@@ -19,12 +19,17 @@ of rank at most 2*N_y whatever N_v is (Frensley, Phys. Rev. B 36, 1570,
                                                  a_m = V_w(x, -v_m))
 
 Products and norms go through the factors, O(N_v N_y) per node, so nothing
-of size N_v^2 is formed.  A kernel may stack several nodes' D_V along a
-leading axis, sampled in one call; the operators then act on each node's
-row of f with that node's matrix, which is how the solver forms its
-right-hand side and checks its residual on the whole device at once; its
-GMRES iteration uses the node-independent thin factors of
-`_thin_factors` instead.  `materialize` forms the dense
+of size N_v^2 is formed.  The mesh is symmetric, v_{-n-1} = -v_n, and V_w is
+odd in v, so S and a are odd and C is even: theta is skew-centrosymmetric
+and A and B are centrosymmetric.  An even/odd change of basis splits each
+into two blocks of order at most N_y + 1 (Cantoni & Butler, Linear Algebra
+Appl. 13, 1976), so `operator_norm` forms only the v > 0 rows of the
+factors.  A kernel may stack several nodes' D_V along a leading axis,
+sampled in one call; the operators then act on each node's row of f with
+that node's matrix, which is how the solver forms its right-hand side and
+checks its residual on the whole device at once; its GMRES iteration uses
+the node-independent thin factors of `_thin_factors` instead.
+`operator_norm` takes a one-node kernel.  `materialize` forms the dense
 matrices from the sampled `symbol` and `shift`; the tests hold the factored
 operators to it.
 """
@@ -188,43 +193,71 @@ def materialize(kernel: WignerKernel, which: str) -> np.ndarray:
     raise ContractError(f"unknown operator {which!r}")
 
 
-def _thin_factors(kernel: WignerKernel, which: str,
-                  weights=1.0) -> tuple[np.ndarray, np.ndarray]:
+def _thin_factors(kernel: WignerKernel, which: str, weights=1.0,
+                  rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
     """Thin factors L and R of theta, A or B, the operator at a node being
     L R^T: for theta, L = 2*pi*h [S W, -C W] and R = [C, S]; A and B divide
     row n of L by v_n, and B appends the column 2*pi*h to L and -a to R.
 
-    Returns L with `weights` for the diagonal of W, and R without B's last
-    column -a.  With weights 1 the pair is the same at every node: the
-    operator is then L diag(w, w, 1) [R, -a]^T, its nodes' weights and
-    shifts moved to the right.
+    Returns the `rows` (velocities) of L with `weights` for the diagonal of
+    W, and of R without B's last column -a.  With weights 1 the pair is the
+    same at every node: the operator is then L diag(w, w, 1) [R, -a]^T, its
+    nodes' weights and shifts moved to the right.
     """
     if which not in ("theta", "A", "B"):
         raise ContractError(f"unknown operator {which!r}")
-    sin, cos = kernel.tables
+    sin, cos = (table[rows] for table in kernel.tables)
+    v = kernel.mesh.nodes[rows]
     left = np.hstack([sin * weights, -cos * weights])
     right = np.hstack([cos, sin])
     if which == "B":
-        left = np.column_stack([left, np.ones(kernel.mesh.n_v)])
+        left = np.column_stack([left, np.ones(v.size)])
     left *= 2 * np.pi * kernel.mesh.h
     if which != "theta":
-        left /= kernel.mesh.nodes[:, None]
+        left /= v[:, None]
     return left, right
 
 
 def operator_norm(kernel: WignerKernel, which: str) -> float:
     """Spectral norm (2-norm) of theta, A or B at one node.
 
-    With the thin factors L R^T of `_thin_factors`, L = Q_L T_L and
-    R = Q_R T_R, the norm is that of T_L T_R^T, of order at most
-    2*N_y + 1.
+    The mesh is symmetric, v_{-n-1} = -v_n, so with J reversing the v > 0
+    half, Pi = [[J, -J], [I, I]] / sqrt(2) is orthogonal, and Pi^T X puts
+    sqrt(2) X_+ (the v > 0 rows of X) in the top half if X is even in v and
+    in the bottom half if it is odd.  In the thin factors L R^T of
+    `_thin_factors` every column is even or odd: S and a are odd, C is
+    even, and A and B divide L by the odd v.  The pairs of the first N_y
+    columns (S W with C) and of the rest (-C W with S, and B's 1/v with -a)
+    land in two blocks of Pi^T (L R^T) Pi that share no block row and no
+    block column (Cantoni & Butler, Linear Algebra Appl. 13, 1976), so
+
+        |op|_2 = 2 max_g |T_L,g T_R,g^T|_2,
+
+    with T_L,g and T_R,g the QR triangles of the v > 0 rows of group g of L
+    and R, each of order at most N_y + 1.  Only the v > 0 rows are formed.
 
     Under mesh refinement (h -> 0 with the window fixed) the three norms
     behave differently: |theta|_2 <= 2 max|V|; |B|_2 stays uniformly
     bounded; |A|_2 grows like h^(-1/2), i.e. by sqrt(2) per halving of h.
     """
-    left, right = _thin_factors(kernel, which, kernel.weights)
+    if kernel.diff.ndim != 1:
+        raise ContractError(
+            f"operator_norm takes a one-node kernel, got nodes of shape "
+            f"{kernel.diff.shape[:-1]}")
+    n_v, n_y = kernel.mesh.n_v, kernel.quad.n_y
+    half = n_v // 2
+    # the v > 0 rows of L and R, of at most 2 N_y + 1 columns, as much
+    # again for the copies made while they are formed and factored, and the
+    # triangles, their product and its copy, of order at most N_y + 1
+    check_memory(n_v, n_y, 8 * (3 * half * (2 * n_y + 2)
+                                + 4 * (n_y + 1) ** 2))
+    positive = slice(half, None)
+    left, right = _thin_factors(kernel, which, kernel.weights, positive)
     if which == "B":
-        right = np.column_stack([right, -kernel.shift])
-    core = np.linalg.qr(left, mode="r") @ np.linalg.qr(right, mode="r").T
-    return float(np.linalg.norm(core, 2))
+        shift = sine_sum(kernel.diff, -kernel.mesh.nodes[positive],
+                         kernel.quad.dy)
+        right = np.column_stack([right, -shift])
+    groups = (slice(None, n_y), slice(n_y, None))
+    return 2 * max(float(np.linalg.norm(
+        np.linalg.qr(left[:, g], mode="r")
+        @ np.linalg.qr(right[:, g], mode="r").T, 2)) for g in groups)

@@ -348,6 +348,17 @@ class TestLevels:
         assert "configuration error" in capsys.readouterr().err
         assert calls == []
 
+    def test_fractional_norms_level_rejected_before_any_kernel(
+            self, tmp_path, monkeypatch):
+        # R_h = 32.25 needs N_v = 64.5; N_v = 64 with h = 1/64.5 would not
+        # span the window [-pi, pi].  The parser takes integer levels only,
+        # so this comes through the library.
+        monkeypatch.setattr(cli, "build_theta_kernel",
+                            lambda *a: pytest.fail("kernel built"))
+        cfg = replace(parse_config(LEVELS_TEXT), levels=(32.25, 64))
+        with pytest.raises(ConfigurationError, match="N_v"):
+            run_norms(cfg, tmp_path)
+
 
 TINY_FIELDS = dict(segments=((-1.5, 1.5, 0.2),), n_x=6, n_v=8, r_h=16,
                    l_y=8, dy=1.0, inflow_left=(1.0, 0.5, 0.25))

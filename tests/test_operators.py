@@ -1,3 +1,5 @@
+import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -5,9 +7,9 @@ import pytest
 
 from wignerlab.bvp_solver import SpatialMesh
 from wignerlab.cli import load_config
-from wignerlab.errors import ConfigurationError, ContractError
-from wignerlab.operators import (VelocityMesh, apply_A, apply_B,
-                                 apply_theta, build_theta_kernel,
+from wignerlab.errors import ConfigurationError, ContractError, ResourceError
+from wignerlab.operators import (VelocityMesh, _thin_factors, apply_A,
+                                 apply_B, apply_theta, build_theta_kernel,
                                  materialize, operator_norm)
 from wignerlab.potential import PotentialProfile, barrier_profile
 from wignerlab.wigner_potential import QuadratureSpec, wigner_potential
@@ -220,6 +222,83 @@ def test_factored_norm_matches_dense_svd(which, n_v, x):
     dense = np.linalg.norm(materialize(kernel, which), 2)
     assert dense > 0
     assert abs(operator_norm(kernel, which) - dense) <= 1e-12 * dense
+
+
+def full_height_norm(kernel, which):
+    # the norm on every velocity: the 2-norm of the product of the QR
+    # triangles of the whole thin factors, of order at most 2 N_y + 1
+    left, right = _thin_factors(kernel, which, kernel.weights)
+    if which == "B":
+        right = np.column_stack([right, -kernel.shift])
+    core = np.linalg.qr(left, mode="r") @ np.linalg.qr(right, mode="r").T
+    return np.linalg.norm(core, 2)
+
+
+@pytest.mark.parametrize("which", ["theta", "A", "B"])
+@pytest.mark.parametrize("n_v", [2, 8, 64, 1024])
+@pytest.mark.parametrize("x", [1.3, 15.0])
+def test_parity_split_norm_matches_full_height_triangles(which, n_v, x):
+    # norms.cfg's barrier and quadrature (N_y = 62); N_v/2 < N_y makes the
+    # triangles of both forms wide.  The first weight is nonzero at x = 1.3
+    # and the last at x = 15, so a column moved across the two parity
+    # groups changes the norm.
+    cfg = load_config(CONFIG_DIR / "norms.cfg")
+    kernel = build_theta_kernel(cfg.profile(), x,
+                                VelocityMesh(n_v, 1 / max(n_v, 64)),
+                                cfg.quad())
+    assert kernel.diff[0 if x < 10 else -1] != 0
+    want = full_height_norm(kernel, which)
+    assert want > 0
+    assert abs(operator_norm(kernel, which) - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("n_nodes", [3, 8])
+def test_norm_of_stacked_kernel_rejected(barrier, quad, n_nodes):
+    # a stack of nodes has no one norm; with as many nodes as velocities
+    # (8) its weights would broadcast along v without an error
+    kernel = build_theta_kernel(barrier, np.linspace(-3.0, 3.0, n_nodes),
+                                VelocityMesh(8, 1 / 16), quad)
+    for which in ("theta", "A", "B"):
+        with pytest.raises(ContractError):
+            operator_norm(kernel, which)
+
+
+def test_norm_memory_guard_counts_the_factors(monkeypatch):
+    # 128 MiB of physical memory: norms.cfg at R_h = 32768 (N_v = 65536)
+    # holds its 62 MiB of S and C tables, but not the 95 MiB of half-height
+    # factors and QR copies on top
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2 ** 15}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    cfg = load_config(CONFIG_DIR / "norms.cfg")
+    kernel = build_theta_kernel(cfg.profile(), cfg.norm_position,
+                                VelocityMesh(65536, 1 / 65536), cfg.quad())
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError):
+            operator_norm(kernel, "B")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_norm_asymptotics_at_scale():
+    # norms.cfg's kernel at R_h = 2048 ... 16384 (N_v to 32768): |A|_2 grows
+    # towards sqrt(2) per halving of h, |B|_2 stays put, |theta|_2 is
+    # bounded by 2 max|V|
+    cfg = load_config(CONFIG_DIR / "norms.cfg")
+    rows = []
+    for r_h in (2048, 4096, 8192, 16384):
+        kernel = build_theta_kernel(cfg.profile(), cfg.norm_position,
+                                    VelocityMesh(2 * r_h, 1 / (2 * r_h)),
+                                    cfg.quad())
+        rows.append([operator_norm(kernel, w) for w in ("theta", "A", "B")])
+    theta, a, b = np.array(rows).T
+    deviation = np.abs(a[1:] / a[:-1] / np.sqrt(2) - 1)
+    assert np.all(deviation <= 0.01)
+    assert np.all(np.diff(deviation) < 0)
+    assert b.max() / b.min() - 1 <= 1e-8
+    assert np.all(theta <= 2 * cfg.profile().max_abs)
 
 
 def test_norms_past_the_dense_reach():
