@@ -21,8 +21,8 @@ it once, as the three bands of one lower-triangular matrix of order N_x+1
 for v > 0; the v < 0 stencil is its mirror image.  Its exact inverse, the
 transport sweep, is one banded triangular solve for both signs of v.  After
 the sweep the system is the identity plus the coupling, of rank at most
-2*N_y + 1 per node whatever N_v is, so the solver runs GMRES in the range
-of the coupling: on min(N_v, 2*N_y + 1) unknowns per coupled node.  The
+2*N_y per node whatever N_v is, so the solver runs GMRES in the range of
+the coupling: on min(N_v, 2*N_y) unknowns per coupled node.  The
 sweep acts along x alone, so it commutes with the products over v, and an
 iteration sweeps (N_x+1, 4*N_y) projections of the grid instead of the
 grid: its cost does not depend on N_v.  Because the discrete B[V] is
@@ -139,9 +139,9 @@ def assemble_system(profile: PotentialProfile, smesh: SpatialMesh,
     if scheme not in ("original", "improved"):
         raise ConfigurationError(f"unknown scheme {scheme!r}")
     n_x, n_v, n_y = smesh.n_x, vmesh.n_v, quad.n_y
-    cols = 2 * n_y + 1  # of the thin factors, at most
+    cols = 2 * n_y  # of the thin factors
     # 16 (N_x+1, N_v) work arrays (a solve's tracemalloc peak, net of the
-    # Krylov basis and the factors, is 3.5 to 5 of them at N_x = 100,
+    # Krylov basis and the factors, is 0.3 to 3.2 of them at N_x = 100,
     # N_v = 8192 and N_x = 400, N_v = 2048), every node's differences, the
     # thin factors and their three Q factors, the three E tables, six
     # (N_x+1, 4 N_y) projected arrays, and a Krylov basis of reduced
@@ -171,39 +171,29 @@ def assemble_system(profile: PotentialProfile, smesh: SpatialMesh,
                        rhs=rhs, smesh=smesh, vmesh=vmesh, scheme=scheme)
 
 
-def _stencils(system: BlockSystem) -> tuple:
-    """((l, u), bands, velocity columns) of the upwind stencil for each sign
-    of v, in the band storage of `solve_banded`.
-
-    The v < 0 stencil is the v > 0 one mirrored: x reversed and negated,
-    except the inflow identity row, which keeps +1.
-    """
-    half = system.vmesh.n_v // 2
-    mirror = -system.stencil[::-1, ::-1]
-    mirror[2, -1] = 1.0
-    return (((2, 0), system.stencil, np.s_[:, half:]),
-            ((0, 2), mirror, np.s_[:, :half]))
-
-
-def _band_product(l_and_u: tuple, bands: np.ndarray,
-                  x: np.ndarray) -> np.ndarray:
-    """a @ x for the matrix a whose bands `solve_banded` reads from `bands`."""
-    lower, upper = l_and_u
+def _band_product(bands: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x for the lower-triangular matrix a whose bands `solve_banded`
+    reads from `bands` with (l, u) = (2, 0)."""
     n = bands.shape[1]
     out = np.zeros(x.shape)
-    for k in range(-lower, upper + 1):  # the diagonal a[i, i + k]
-        rows = slice(max(0, -k), n - max(0, k))
-        cols = slice(max(0, k), n - max(0, -k))
-        out[rows] += bands[upper - k, cols, None] * x[cols]
+    for k in (2, 1, 0):  # the subdiagonal a[j + k, j]
+        out[k:] += bands[k, :n - k, None] * x[:n - k]
     return out
 
 
 def _apply_system(system: BlockSystem, values: np.ndarray) -> np.ndarray:
-    """Multiply the block-banded matrix by a grid function."""
+    """Multiply the block-banded matrix by a grid function.
+
+    The v < 0 stencil is T_- = -D J T_+ J, with J reversing x and D
+    negating the inflow row, the last.
+    """
     apply_op = apply_A if system.scheme == "original" else apply_B
+    half = system.vmesh.n_v // 2
     out = -np.where(system.inflow, 0.0, apply_op(system.coupling, values))
-    for l_and_u, bands, cols in _stencils(system):
-        out[cols] += _band_product(l_and_u, bands, values[cols])
+    out[:, half:] += _band_product(system.stencil, values[:, half:])
+    neg = _band_product(system.stencil, values[::-1, :half])[::-1]
+    neg[:-1] *= -1
+    out[:, :half] += neg
     return out
 
 
@@ -271,15 +261,15 @@ def solve(system: BlockSystem) -> WignerSolution:
     the rest solve A f = b, with the data moved to the right-hand side b.
     With T the upwind transport operator (the coupling removed), whose
     inverse is the transport sweep, A T^-1 = I - U V^T: U holds P L at each
-    coupled node, with L the
-    node-independent left factor of `operators._thin_factors` and P zeroing
-    the inflow rows, and V^T is T^-1 followed by each node's weighted right
-    factor.  With one Householder QR P L = Q G per row mask (interior, left
-    end, right end), f = T^-1 (b + Q c) where
+    coupled node, with L the node-independent left factor of
+    `operators._thin_factors` and P zeroing the inflow rows, and V^T is
+    T^-1 followed by each node's weighted right factor.  With one
+    Householder QR P L = Q G per row mask (interior, left end, right end),
+    f = T^-1 (b + Q c) where
 
         (I - G V^T Q) c = G V^T b,
 
-    min(N_v, columns of L) unknowns per coupled node whatever N_v is (the
+    min(N_v, 2 N_y) unknowns per coupled node whatever N_v is (the
     capacitance form of the Woodbury identity; Hager 1989).  GMRES solves
     it from c = 0.  Q has orthonormal columns, so this residual is the true
     residual of A T^-1 y = b at y = b + Q c; GMRES stops when it reaches
@@ -298,12 +288,10 @@ def solve(system: BlockSystem) -> WignerSolution:
     (N_x+1, 4 N_y) array of the [E_- c_j, E_+ c_j] and costs
     O((coupled nodes) N_y^2) whatever N_v is; only the right-hand side,
     whose products with R are taken once, and f are swept on the grid.
-    B's extra column -a of R equals S w at every node, because V_w is odd
-    in v, so its term is the sum of the S half of the weighted products;
-    it is folded into G, and both schemes run the same iteration.  The two
-    signs share one band solve: T_- = -D J T_+ J, with J reversing x and D
-    negating the inflow row, and T_+ reversed in x is upper triangular, so
-    LAPACK's band solver has nothing to pivot.
+    A and B share R and differ only in L, so both schemes run the same
+    iteration.  The two signs share one band solve: T_- = -D J T_+ J, with
+    J reversing x and D negating the inflow row, and T_+ reversed in x is
+    upper triangular, so LAPACK's band solver has nothing to pivot.
 
     The right-hand side is divided by the power of two that brings its
     largest entry into [1/2, 1), so that no norm, the residual check's
@@ -343,11 +331,7 @@ def solve(system: BlockSystem) -> WignerSolution:
         if sel.any():
             mask = system.inflow[coupled[sel][0], :, None]
             q, g = np.linalg.qr(np.where(mask, 0.0, left))
-            # B's last column pairs with -a = S w (V_w is odd in v), so it
-            # adds to the columns of the S half; A has no such column
-            fold = g[:, :2 * n_y].copy()
-            fold[:, n_y:] += g[:, 2 * n_y:].sum(axis=1, keepdims=True)
-            blocks.append((sel, q, products(q.T), fold))
+            blocks.append((sel, q, products(q.T), g))
 
     def lift(c: np.ndarray) -> np.ndarray:  # Q c on the grid
         c = c.reshape(coupled.size, width)

@@ -109,9 +109,9 @@ def constraint_residual(sol: WignerSolution) -> float:
 
         S = h * max_i | sum_n f(x_i, v_n) V_w(x_i, v_n) dv |,
 
-    using the very samples of V_w the solve used, V_w(x_i, v_n) =
-    -a_n with a_n = V_w(x_i, -v_n) the shift of `sol.coupling`, and
-    including the boundary nodes in the maximum.
+    with V_w(x_i, v_n) = (S w_i)_n from the sine table S and the weights
+    w_i of `sol.coupling`, the factors the solve used, and including the
+    boundary nodes in the maximum.
     The h = dv/(2*pi) scaling expresses the moment in the units of the
     assembled operator rows, making values comparable across refinement
     levels; for a convergent scheme family S decays linearly in the mesh
@@ -122,10 +122,11 @@ def constraint_residual(sol: WignerSolution) -> float:
             or kernel.diff.shape[:-1] != (sol.smesh.n_x + 1,)):
         raise ContractError("the coupling does not match the solution's "
                             "velocity mesh and N_x + 1 nodes")
+    sin, _ = kernel.tables
+    v_w = kernel.weights @ sin.T
     dv = sol.vmesh.dv
     return sol.vmesh.h * max(abs(float(np.dot(row, vw_nodes)) * dv)
-                             for row, vw_nodes in zip(sol.values,
-                                                      -kernel.shift))
+                             for row, vw_nodes in zip(sol.values, v_w))
 
 
 @dataclass

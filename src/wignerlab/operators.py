@@ -18,20 +18,28 @@ of rank at most 2*N_y whatever N_v is (Frensley, Phys. Rev. B 36, 1570,
                                                 (regularized by the row
                                                  a_m = V_w(x, -v_m))
 
-Products and norms go through the factors, O(N_v N_y) per node, so nothing
-of size N_v^2 is formed.  The mesh is symmetric, v_{-n-1} = -v_n, and V_w is
-odd in v, so S and a are odd and C is even: theta is skew-centrosymmetric
-and A and B are centrosymmetric.  An even/odd change of basis splits each
-into two blocks of order at most N_y + 1 (Cantoni & Butler, Linear Algebra
-Appl. 13, 1976), so `operator_norm` forms only the v > 0 rows of the
-factors.  A kernel may stack several nodes' D_V along a leading axis,
-sampled in one call; the operators then act on each node's row of f with
-that node's matrix, which is how the solver forms its right-hand side and
-checks its residual on the whole device at once; its GMRES iteration uses
-the node-independent thin factors of `_thin_factors` instead.
-`operator_norm` takes a one-node kernel.  `materialize` forms the dense
-matrices from the sampled `symbol` and `shift`; the tests hold the factored
-operators to it.
+V_w is odd in v, so -a = S w, and B's row joins the -C W S^T term of M:
+
+    B = 2*pi*h diag(1/v) [S W C^T + (1 - C) W S^T],
+
+with 1 the all-ones matrix.  Both sin(v y)/v and (1 - cos(v y))/v are at
+most y, so B's left factor is bounded uniformly in the velocity mesh;
+A's, with cos(v y)/v, is not.  Products and norms go through the factors,
+O(N_v N_y) per node, so nothing of size N_v^2 is formed.  The mesh is
+symmetric, v_{-n-1} = -v_n, so S is odd and C is even: theta is
+skew-centrosymmetric and A and B are centrosymmetric.  An even/odd change
+of basis splits each into two blocks of order at most N_y (Cantoni &
+Butler, Linear Algebra Appl. 13, 1976), so `operator_norm` forms only the
+v > 0 rows of the factors.
+
+A kernel may stack several nodes' D_V along a leading axis, sampled in one
+call; the operators then act on each node's row of f with that node's
+matrix, which is how the solver forms its right-hand side and checks its
+residual on the whole device at once; its GMRES iteration uses the
+node-independent thin factors of `_thin_factors` instead.  `operator_norm`
+takes a one-node kernel.  `materialize` forms the dense matrices from the
+sampled `symbol` and `shift`; the tests hold the factored operators to
+it.
 """
 
 from __future__ import annotations
@@ -149,31 +157,38 @@ def _check_length(kernel: WignerKernel, f: np.ndarray) -> np.ndarray:
     return f
 
 
-def apply_theta(kernel: WignerKernel, f) -> np.ndarray:
-    """g = 2*pi*h * M f, with M f = S (w * C^T f) - C (w * S^T f)."""
+def _apply(kernel: WignerKernel, f, which: str) -> np.ndarray:
+    """theta, A or B of each node of `kernel` applied to its row of f."""
     f = _check_length(kernel, f)
     sin, cos = kernel.tables
     w = kernel.weights
-    out = (w * (f @ cos)) @ sin.T - (w * (f @ sin)) @ cos.T
-    return 2 * np.pi * kernel.mesh.h * out
+    ws = w * (f @ sin)
+    out = (w * (f @ cos)) @ sin.T - ws @ cos.T
+    if which == "B":
+        out += ws.sum(axis=-1, keepdims=True)
+    out *= 2 * np.pi * kernel.mesh.h
+    if which != "theta":
+        out /= kernel.mesh.nodes
+    return out
+
+
+def apply_theta(kernel: WignerKernel, f) -> np.ndarray:
+    """g = 2*pi*h * M f, with M f = S (w * C^T f) - C (w * S^T f)."""
+    return _apply(kernel, f, "theta")
 
 
 def apply_A(kernel: WignerKernel, f) -> np.ndarray:
     """g_n = (theta f)_n / v_n."""
-    return apply_theta(kernel, f) / kernel.mesh.nodes
+    return _apply(kernel, f, "A")
 
 
 def apply_B(kernel: WignerKernel, f) -> np.ndarray:
-    """g_n = 2*pi*h/v_n * sum_m (M_{nm} - a_m) f_m.
+    """g_n = ((theta f)_n + 2*pi*h sum_j w_j (S^T f)_j) / v_n.
 
-    The correction is the scalar sum_m a_m f_m, once per node.  On vectors
-    even in v it vanishes and B coincides with A.
+    The added scalar, once per node, is -2*pi*h sum_m a_m f_m, since
+    -a = S w.  On vectors even in v, S^T f vanishes and B coincides with A.
     """
-    f = _check_length(kernel, f)
-    correction = np.sum(kernel.shift * f, axis=-1, keepdims=True)
-    g = apply_theta(kernel, f)
-    g -= 2 * np.pi * kernel.mesh.h * correction
-    return g / kernel.mesh.nodes
+    return _apply(kernel, f, "B")
 
 
 def materialize(kernel: WignerKernel, which: str) -> np.ndarray:
@@ -196,22 +211,22 @@ def materialize(kernel: WignerKernel, which: str) -> np.ndarray:
 def _thin_factors(kernel: WignerKernel, which: str, weights=1.0,
                   rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
     """Thin factors L and R of theta, A or B, the operator at a node being
-    L R^T: for theta, L = 2*pi*h [S W, -C W] and R = [C, S]; A and B divide
-    row n of L by v_n, and B appends the column 2*pi*h to L and -a to R.
+    L R^T with R = [C, S]: for theta, L = 2*pi*h [S W, -C W]; A divides row
+    n of L by v_n; B is A with 1 - C in place of -C, bounded because
+    |sin(v y)| and |1 - cos(v y)| are at most |v| y.
 
     Returns the `rows` (velocities) of L with `weights` for the diagonal of
-    W, and of R without B's last column -a.  With weights 1 the pair is the
-    same at every node: the operator is then L diag(w, w, 1) [R, -a]^T, its
-    nodes' weights and shifts moved to the right.
+    W, and of R.  With weights 1 the pair is the same at every node: the
+    operator is then L diag(w, w) R^T, its nodes' weights moved to the
+    right.
     """
     if which not in ("theta", "A", "B"):
         raise ContractError(f"unknown operator {which!r}")
     sin, cos = (table[rows] for table in kernel.tables)
     v = kernel.mesh.nodes[rows]
-    left = np.hstack([sin * weights, -cos * weights])
+    left = np.hstack([sin * weights,
+                      (1 - cos if which == "B" else -cos) * weights])
     right = np.hstack([cos, sin])
-    if which == "B":
-        left = np.column_stack([left, np.ones(v.size)])
     left *= 2 * np.pi * kernel.mesh.h
     if which != "theta":
         left /= v[:, None]
@@ -225,16 +240,17 @@ def operator_norm(kernel: WignerKernel, which: str) -> float:
     half, Pi = [[J, -J], [I, I]] / sqrt(2) is orthogonal, and Pi^T X puts
     sqrt(2) X_+ (the v > 0 rows of X) in the top half if X is even in v and
     in the bottom half if it is odd.  In the thin factors L R^T of
-    `_thin_factors` every column is even or odd: S and a are odd, C is
+    `_thin_factors` every column is even or odd: S is odd, C and 1 - C are
     even, and A and B divide L by the odd v.  The pairs of the first N_y
-    columns (S W with C) and of the rest (-C W with S, and B's 1/v with -a)
-    land in two blocks of Pi^T (L R^T) Pi that share no block row and no
-    block column (Cantoni & Butler, Linear Algebra Appl. 13, 1976), so
+    columns (S W / v with C) and of the rest (-C W / v, or (1 - C) W / v,
+    with S) land in two blocks of Pi^T (L R^T) Pi that share no block row
+    and no block column (Cantoni & Butler, Linear Algebra Appl. 13, 1976),
+    so
 
         |op|_2 = 2 max_g |T_L,g T_R,g^T|_2,
 
     with T_L,g and T_R,g the QR triangles of the v > 0 rows of group g of L
-    and R, each of order at most N_y + 1.  Only the v > 0 rows are formed.
+    and R, each of order at most N_y.  Only the v > 0 rows are formed.
 
     Under mesh refinement (h -> 0 with the window fixed) the three norms
     behave differently: |theta|_2 <= 2 max|V|; |B|_2 stays uniformly
@@ -246,17 +262,12 @@ def operator_norm(kernel: WignerKernel, which: str) -> float:
             f"{kernel.diff.shape[:-1]}")
     n_v, n_y = kernel.mesh.n_v, kernel.quad.n_y
     half = n_v // 2
-    # the v > 0 rows of L and R, of at most 2 N_y + 1 columns, as much
-    # again for the copies made while they are formed and factored, and the
-    # triangles, their product and its copy, of order at most N_y + 1
-    check_memory(n_v, n_y, 8 * (3 * half * (2 * n_y + 2)
-                                + 4 * (n_y + 1) ** 2))
-    positive = slice(half, None)
-    left, right = _thin_factors(kernel, which, kernel.weights, positive)
-    if which == "B":
-        shift = sine_sum(kernel.diff, -kernel.mesh.nodes[positive],
-                         kernel.quad.dy)
-        right = np.column_stack([right, -shift])
+    # the v > 0 rows of L and R, of 2 N_y columns, as much again for the
+    # copies made while they are formed and factored, and the triangles,
+    # their product and its copy, of order at most N_y
+    check_memory(n_v, n_y, 8 * (3 * half * 2 * n_y + 4 * n_y ** 2))
+    left, right = _thin_factors(kernel, which, kernel.weights,
+                                slice(half, None))
     groups = (slice(None, n_y), slice(n_y, None))
     return 2 * max(float(np.linalg.norm(
         np.linalg.qr(left[:, g], mode="r")

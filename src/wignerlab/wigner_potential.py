@@ -12,7 +12,8 @@ half-weight at j = N_y; the uniform-weight form is kept deliberately as the
 canonical discretization.  D_V is evaluated at all N_y offsets with one
 vectorized call; `sine_sum` then adds the nonzero terms in ascending j, so
 the floating-point result is reproducible and does not depend on how D_V was
-evaluated.  The velocity operators sample V_w from D_V with it too.
+evaluated.  A kernel's sampled `symbol` and `shift`, the dense reference
+of the factored velocity operators, come from it too.
 """
 
 from __future__ import annotations

@@ -104,8 +104,8 @@ def test_symbol_and_shift_odd(barrier, quad):
 
 @pytest.mark.parametrize("n_v", [64, 512, 4096])
 def test_shift_is_minus_sine_table_times_weights(n_v):
-    # -a = S w at every node because V_w is odd in v; the solver folds B's
-    # column -a into the S half of its thin factor on the strength of it.
+    # -a = S w at every node because V_w is odd in v; the factored B, whose
+    # row -a joins the -C W S^T term of M as (1 - C) W S^T, rests on it.
     cfg = load_config(CONFIG_DIR / "conv_v.cfg")
     nodes = SpatialMesh(cfg.device_length, cfg.n_x).nodes
     kernel = build_theta_kernel(cfg.profile(), nodes,
@@ -226,9 +226,14 @@ def test_factored_norm_matches_dense_svd(which, n_v, x):
 
 def full_height_norm(kernel, which):
     # the norm on every velocity: the 2-norm of the product of the QR
-    # triangles of the whole thin factors, of order at most 2 N_y + 1
-    left, right = _thin_factors(kernel, which, kernel.weights)
+    # triangles of the whole thin factors, of order at most 2 N_y + 1.  B
+    # is built in its sampled form, A's factors with the column 2 pi h / v
+    # paired with -a, so it checks the factored 1 - C independently.
+    left, right = _thin_factors(kernel, "A" if which == "B" else which,
+                                kernel.weights)
     if which == "B":
+        scale = 2 * np.pi * kernel.mesh.h / kernel.mesh.nodes
+        left = np.column_stack([left, scale])
         right = np.column_stack([right, -kernel.shift])
     core = np.linalg.qr(left, mode="r") @ np.linalg.qr(right, mode="r").T
     return np.linalg.norm(core, 2)
@@ -250,6 +255,20 @@ def test_parity_split_norm_matches_full_height_triangles(which, n_v, x):
     want = full_height_norm(kernel, which)
     assert want > 0
     assert abs(operator_norm(kernel, which) - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("r_h", [64, 2048, 32768])
+def test_b_left_factor_bounded_uniformly(r_h):
+    # norms.cfg's kernel: |sin(v y)| and |1 - cos(v y)| are at most |v| y,
+    # so B's left factor is at most 2 pi h L_y whatever v is, while A's
+    # -2 pi h cos(v y) / v reaches 2 at the smallest velocity, v = pi h
+    cfg = load_config(CONFIG_DIR / "norms.cfg")
+    kernel = build_theta_kernel(cfg.profile(), cfg.norm_position,
+                                VelocityMesh(2 * r_h, 1 / (2 * r_h)),
+                                cfg.quad())
+    bound = 2 * np.pi * kernel.mesh.h * cfg.quad().l_y
+    assert np.abs(_thin_factors(kernel, "B")[0]).max() <= bound * (1 + 1e-14)
+    assert np.abs(_thin_factors(kernel, "A")[0]).max() >= 1.9
 
 
 @pytest.mark.parametrize("n_nodes", [3, 8])
