@@ -19,15 +19,18 @@ takes O(N_x N_v) memory.
 The upwind stencil is the same for every v of one sign, so the system stores
 it once, as the three bands of one lower-triangular matrix of order N_x+1
 for v > 0; the v < 0 stencil is its mirror image.  Its exact inverse, the
-transport sweep, is one banded triangular solve for both signs of v.  After
-the sweep the system is the identity plus the coupling, of rank at most
-2*N_y per node whatever N_v is, so the solver runs GMRES in the range of
-the coupling: on min(N_v, 2*N_y) unknowns per coupled node.  The
-sweep acts along x alone, so it commutes with the products over v, and an
-iteration sweeps (N_x+1, 4*N_y) projections of the grid instead of the
-grid: its cost does not depend on N_v.  Because the discrete B[V] is
-bounded uniformly in the velocity mesh, the number of iterations of the
-'improved' scheme does not grow as the mesh is refined either.
+transport sweep, is a first-order recurrence along x, run as a prefix scan
+for both signs of v.  After the sweep the system is the identity plus the
+coupling, of rank at most 2*N_y per node whatever N_v is, so the solver
+runs GMRES in the range of the coupling: on at most min(N_v, 2*N_y)
+unknowns per coupled node.  The velocity mesh is symmetric, so the
+coupling's factors split by v-parity and only their v > 0 rows are formed
+and factored.  The sweep acts along x alone, so it commutes with the
+products over v, and an iteration sweeps (N_x+1, 4*N_y) projections of the
+grid instead of the grid: its cost does not depend on N_v.  Because the
+discrete B[V] is bounded uniformly in the velocity mesh, the number of
+iterations of the 'improved' scheme does not grow as the mesh is refined
+either.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 # `lu_factor` and `lu_solve` are not called here; the tracer looks them up
-from scipy.linalg import lu_factor, lu_solve, solve_banded, solve_triangular
+from scipy.linalg import lu_factor, lu_solve, solve_triangular
 
 from .errors import ConfigurationError, SolverError
 # `materialize` is not called here; the benchmark's tracer looks it up
@@ -117,9 +120,9 @@ class BlockSystem:
     inflow: the inflow rows, shape (N_x+1, N_v); they are identity rows, so
           the coupling is left out of them.
     stencil: the upwind d/dx for v > 0, identity on the inflow row, as the
-          bands of a lower-triangular matrix of order N_x+1 in the storage
-          of `solve_banded` with (l, u) = (2, 0): row k holds the k-th
-          subdiagonal, a[j + k, j] in column j.
+          three bands of a lower-triangular matrix a of order N_x+1: row k
+          holds the k-th subdiagonal, a[j + k, j] in column j.  `_sweep`
+          reads its ratio a_2/a_0 = 1/3 from here.
     rhs:  right-hand side, shape (N_x+1, N_v).
     """
 
@@ -141,13 +144,16 @@ def assemble_system(profile: PotentialProfile, smesh: SpatialMesh,
     n_x, n_v, n_y = smesh.n_x, vmesh.n_v, quad.n_y
     cols = 2 * n_y  # of the thin factors
     # 16 (N_x+1, N_v) work arrays (a solve's tracemalloc peak, net of the
-    # Krylov basis and the factors, is 0.3 to 3.2 of them at N_x = 100,
-    # N_v = 8192 and N_x = 400, N_v = 2048), every node's differences, the
-    # thin factors and their three Q factors, the three E tables, six
-    # (N_x+1, 4 N_y) projected arrays, and a Krylov basis of reduced
-    # vectors, min(N_v, cols) entries per node
+    # Krylov basis, the S and C tables and the factors, is 2.4 to 3.8 of
+    # them at N_x = 100, N_v = 8192 and 65536 and at N_x = 400,
+    # N_v = 2048), the sweep's temporary (at most half of one) among them;
+    # every node's differences; five (N_v/2, cols) arrays:
+    # the v > 0 rows of the thin factors, the interior Q_1, Q_2, the ends'
+    # Q_3 and a copy made while they are factored; the E tables, of at most
+    # 3 cols rows; six (N_x+1, 4 N_y) projected arrays; and a Krylov basis
+    # of reduced vectors, at most min(N_v, cols) entries per node
     check_memory(n_v, n_y, 8 * ((n_x + 1) * (16 * n_v + n_y + 6 * 4 * n_y)
-                                + 5 * n_v * cols + 3 * cols * 4 * n_y
+                                + 5 * (n_v // 2) * cols + 3 * cols * cols
                                 + (MAX_ITERATIONS + 1) * (n_x + 1)
                                 * min(n_v, cols)))
     dx = smesh.dx
@@ -172,8 +178,8 @@ def assemble_system(profile: PotentialProfile, smesh: SpatialMesh,
 
 
 def _band_product(bands: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """a @ x for the lower-triangular matrix a whose bands `solve_banded`
-    reads from `bands` with (l, u) = (2, 0)."""
+    """a @ x for the lower-triangular matrix a whose three bands are
+    stored in `bands` as `BlockSystem.stencil` stores them."""
     n = bands.shape[1]
     out = np.zeros(x.shape)
     for k in (2, 1, 0):  # the subdiagonal a[j + k, j]
@@ -197,21 +203,95 @@ def _apply_system(system: BlockSystem, values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sweep(stencil: np.ndarray, z: np.ndarray, sign: float = 1.0) -> None:
+    """Overwrite z with the transport sweep T_+^-1 of every column of z (x
+    along the first axis), taken after multiplying its rows past the first
+    by `sign`.
+
+    T_- = -D J T_+ J, with J reversing x and D negating the inflow row, so
+    J T_-^-1 y is this sweep of J y with sign -1.  T_+ is lower triangular
+    with rows summing to zero past the inflow row 0, so with
+    u_i = z_i - z_{i-1} its rows i >= 2 read a_0 u_i - a_2 u_{i-1} = b_i,
+    a_0 the diagonal and a_2 the second subdiagonal of `stencil`, and row 1
+    reads d_1 u_1 = b_1.  The first-order recurrence
+    u_i = (a_2/a_0) u_{i-1} + b_i/a_0 is a prefix scan, run by recursive
+    doubling (Kogge & Stone, IEEE Trans. Comput. C-22, 1973): after the
+    step of shift s, u_i sums the 2s latest terms.  a_2/a_0 = 1/3, so the
+    steps stop once (a_2/a_0)^s is below roundoff; then z = b_0 + cumsum(u).
+    """
+    a_0 = stencil[0, 2]
+    ratio = stencil[2, 0] / a_0
+    z[1] *= sign / stencil[0, 1]
+    z[2:] *= sign / a_0
+    step = 1
+    while step < len(z) - 1 and ratio ** step > np.finfo(float).eps:
+        z[step + 1:] += ratio ** step * z[1:-step]
+        step *= 2
+    # the cumulative sum row by row: np.cumsum along the first axis walks
+    # each column apart, about 20 times slower at N_v = 65536
+    for prev, row in zip(z[:-1], z[1:]):
+        row += prev
+
+
+def _mask_factors(left: np.ndarray, masks) -> list:
+    """Householder QR P L = Q G of the coupling's left factor L for each row
+    mask in `masks` ('interior', 'left' or 'right' end), from the v > 0 rows
+    `left` of L alone.
+
+    The mesh is symmetric, v_{-n-1} = -v_n, so with J reversing the v > 0
+    half, L's v < 0 rows are J L_+ diag(I, -I): its first N_y columns are
+    even in v and the rest odd (`operators.operator_norm`).  So
+
+      interior (P = I): [J L_1+, -J L_2+; L_1+, L_2+], whose two column
+          groups are orthogonal; with sqrt(2) L_g+ = Q_g G_g, the group is
+          [+-J Q_g; Q_g]/sqrt(2) times G_g, two QRs of order at most N_y;
+      right end (v < 0 rows zeroed): [0; L_+] = [0; Q_3] G_3 with
+          L_+ = Q_3 G_3;
+      left end (v > 0 rows zeroed): [J L_+ diag(I, -I); 0]
+          = [J Q_3; 0] G_3 diag(I, -I), the same QR.
+
+    Returns (q, g, neg, pos) for each mask: Q = [J q diag(neg); q diag(pos)]
+    and G = g, with neg and pos the signs, -1, 0 or 1, of Q's columns.
+    """
+    n_y = left.shape[1] // 2
+    parity = np.repeat([1.0, -1.0], n_y)
+    out, end = [], None
+    for mask in masks:
+        if mask == "interior":
+            q_1, g_1 = np.linalg.qr(left[:, :n_y])
+            q_2, g_2 = np.linalg.qr(left[:, n_y:])
+            q = np.hstack([q_1, q_2])
+            q /= np.sqrt(2)
+            g = np.zeros((q.shape[1], 2 * n_y))
+            g[:len(g_1), :n_y] = np.sqrt(2) * g_1
+            g[len(g_1):, n_y:] = np.sqrt(2) * g_2
+            neg = np.repeat([1.0, -1.0], [len(g_1), len(g_2)])
+            out.append((q, g, neg, np.ones(len(g))))
+        else:
+            if end is None:
+                end = np.linalg.qr(left)
+            q, g = end
+            ones, zeros = np.ones(len(g)), np.zeros(len(g))
+            out.append((q, g * parity, ones, zeros) if mask == "left"
+                       else (q, g, zeros, ones))
+    return out
+
+
 def _gmres(matvec, b: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
     """GMRES (Saad & Schultz 1986) for matvec(x) = b from x0 = 0, until the
     residual norm is at most the absolute tolerance `tol`.
 
     Arnoldi with classical Gram-Schmidt, orthogonalised twice, and Givens
-    rotations on the Hessenberg matrix.  A cycle ends when the rotated
-    residual estimate reaches the tolerance; the true residual then decides
-    whether to stop or restart from the new iterate.
+    rotations on the Hessenberg matrix, run on Python floats.  A cycle ends
+    when the rotated residual estimate reaches the tolerance; the true
+    residual then decides whether to stop or restart from the new iterate.
     """
     x = np.zeros(b.size)
     r = b
     basis = np.empty((MAX_ITERATIONS + 1, b.size))
     iterations = 0
     while True:
-        beta = np.linalg.norm(r)
+        beta = float(np.linalg.norm(r))
         if beta <= tol:
             return x, iterations
         if iterations == MAX_ITERATIONS:
@@ -222,9 +302,7 @@ def _gmres(matvec, b: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
                 f"{GMRES_TOL:.0e}")
         m = MAX_ITERATIONS - iterations
         hess = np.zeros((m + 1, m))
-        cs, sn = np.zeros(m), np.zeros(m)
-        g = np.zeros(m + 1)
-        g[0] = beta
+        cs, sn, g = [], [], [beta]
         basis[0] = r / beta
         k = 0
         while k < m:
@@ -233,16 +311,18 @@ def _gmres(matvec, b: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
                 h = basis[:k + 1] @ w
                 w -= h @ basis[:k + 1]
                 hess[:k + 1, k] += h
-            norm = np.linalg.norm(w)
-            col = hess[:, k]
-            col[k + 1] = norm
+            norm = float(np.linalg.norm(w))
+            col = hess[:k + 1, k].tolist() + [norm]
             for j in range(k):
                 col[j], col[j + 1] = (cs[j] * col[j] + sn[j] * col[j + 1],
                                       cs[j] * col[j + 1] - sn[j] * col[j])
-            rho = np.hypot(col[k], col[k + 1])
-            cs[k], sn[k] = col[k] / rho, col[k + 1] / rho
+            # numpy's hypot: math.hypot may round the last bit otherwise
+            rho = float(np.hypot(col[k], col[k + 1]))
+            cs.append(col[k] / rho)
+            sn.append(col[k + 1] / rho)
             col[k], col[k + 1] = rho, 0.0
-            g[k + 1] = -sn[k] * g[k]
+            hess[:k + 2, k] = col
+            g.append(-sn[k] * g[k])
             g[k] *= cs[k]
             k += 1
             if abs(g[k]) <= tol or norm == 0:
@@ -269,29 +349,39 @@ def solve(system: BlockSystem) -> WignerSolution:
 
         (I - G V^T Q) c = G V^T b,
 
-    min(N_v, 2 N_y) unknowns per coupled node whatever N_v is (the
-    capacitance form of the Woodbury identity; Hager 1989).  GMRES solves
-    it from c = 0.  Q has orthonormal columns, so this residual is the true
-    residual of A T^-1 y = b at y = b + Q c; GMRES stops when it reaches
-    GMRES_TOL times the norm of b, the forcing the data exert on the
-    interior rows.  Nodes whose kernel is zero drop out; with none left, c
-    is empty and f = T^-1 b after no iteration.
+    on the columns of Q, 2 min(N_v/2, N_y) per interior node and
+    min(N_v/2, 2 N_y) per end node, whatever N_v is (the capacitance form
+    of the Woodbury identity; Hager 1989).  GMRES solves it from c = 0.  Q
+    has orthonormal columns, so this residual is the true residual of
+    A T^-1 y = b at y = b + Q c; GMRES stops when it reaches GMRES_TOL times
+    the norm of b, the forcing the data exert on the interior rows.  Nodes
+    whose kernel is zero drop out; with none left, c is empty and
+    f = T^-1 b after no iteration.
+
+    The mesh is symmetric in v, so only the v > 0 rows of the thin factors
+    are formed: the QRs split by v-parity into QRs of order at most N_y at
+    the interior nodes and one QR shared by both ends (`_mask_factors`;
+    Cantoni & Butler, Linear Algebra Appl. 13, 1976), and Q's v < 0 rows
+    are +-J times its v > 0 rows.
 
     T^-1 acts along x alone and is the same for every v of one sign, so it
     commutes with the products over v (the mixed-product rule of Kronecker
     products; Van Loan 2000).  With R_s and Q_s the rows of the right
-    factor R and of Q where v has the sign s, (V^T Q c) at node i is
+    factor R = [C, S] and of Q where v has the sign s, (V^T Q c) at node i
+    is
 
         w_i * sum_s sum_j T_s^-1[i, j] E_s c_j,   E_s = Q_s^T R_s,
 
-    with E_s tabulated once per row mask.  An iteration sweeps the
+    with E_+ tabulated once per row mask from R_+ alone and
+    E_- = diag(neg) E_+ diag(parity), R's parity being that of C (even)
+    and S (odd): at the interior nodes E_- is E_+ with its off-diagonal
+    parity blocks negated.  An iteration sweeps the
     (N_x+1, 4 N_y) array of the [E_- c_j, E_+ c_j] and costs
     O((coupled nodes) N_y^2) whatever N_v is; only the right-hand side,
     whose products with R are taken once, and f are swept on the grid.
     A and B share R and differ only in L, so both schemes run the same
-    iteration.  The two signs share one band solve: T_- = -D J T_+ J, with
-    J reversing x and D negating the inflow row, and T_+ reversed in x is
-    upper triangular, so LAPACK's band solver has nothing to pivot.
+    iteration.  The sweep (`_sweep`) is a prefix scan along x for both
+    signs of v (T_- = -D J T_+ J), in place.
 
     The right-hand side is divided by the power of two that brings its
     largest entry into [1/2, 1), so that no norm, the residual check's
@@ -301,77 +391,73 @@ def solve(system: BlockSystem) -> WignerSolution:
     residual of the whole system exceeds RESIDUAL_TOL.
     """
     n_x, half = system.smesh.n_x, system.vmesh.n_v // 2
-    band = system.stencil[::-1, ::-1]  # reversed in x: upper triangular
-
-    def sweep(neg: np.ndarray, pos: np.ndarray) -> tuple:  # T^-1
-        # with U = J T_+ J, the band: T_-^-1 = U^-1 (-D), T_+^-1 = J U^-1 J
-        k = neg.shape[1]
-        r = np.empty((n_x + 1, k + pos.shape[1]), order="F")  # in place
-        np.negative(neg, out=r[:, :k])
-        r[-1, :k] = neg[-1]
-        r[:, k:] = pos[::-1]
-        z = solve_banded((0, 2), band, r, overwrite_b=True)
-        return z[:, :k], z[::-1, k:]
-
     kernel = system.coupling
     which = "A" if system.scheme == "original" else "B"
-    left, right = _thin_factors(kernel, which)
+    left, right = _thin_factors(kernel, which, rows=slice(half, None))
     n_y = right.shape[1] // 2
-    width = min(left.shape)
+    parity = np.repeat([1.0, -1.0], n_y)  # of R's columns, C even, S odd
     coupled = np.flatnonzero(kernel.diff.any(axis=-1))
-    weights = np.tile(kernel.weights[coupled], 2)
+    masks = {mask: nodes for mask, nodes in (
+        ("interior", coupled[(coupled > 0) & (coupled < n_x)]),
+        ("left", coupled[coupled == 0]), ("right", coupled[coupled == n_x]))
+        if nodes.size}
+    blocks = []  # (nodes, their unknowns, q, E, G, weights, neg, pos)
+    size = 0
+    for nodes, (q, g, neg, pos) in zip(masks.values(),
+                                       _mask_factors(left, masks)):
+        unknowns = slice(size, size + nodes.size * len(g))
+        size = unknowns.stop
+        e = q.T @ right  # E_+; E_- = diag(neg) E_+ diag(parity)
+        e = np.hstack([-neg[:, None] * e * parity, pos[:, None] * e])
+        blocks.append((nodes, unknowns, q, e, g,
+                       np.tile(kernel.weights[nodes], 2), neg, pos))
 
-    def products(y: np.ndarray) -> np.ndarray:  # [y_- R_-, y_+ R_+]
-        return np.hstack([y[:, :half] @ right[:half],
-                          y[:, half:] @ right[half:]])
-
-    blocks = []  # (which coupled nodes, Q, E, G) for each row mask
-    for sel in ((coupled > 0) & (coupled < n_x), coupled == 0,
-                coupled == n_x):
-        if sel.any():
-            mask = system.inflow[coupled[sel][0], :, None]
-            q, g = np.linalg.qr(np.where(mask, 0.0, left))
-            blocks.append((sel, q, products(q.T), g))
-
-    def lift(c: np.ndarray) -> np.ndarray:  # Q c on the grid
-        c = c.reshape(coupled.size, width)
-        y = np.zeros(system.rhs.shape)
-        for sel, q, _, _ in blocks:
-            y[coupled[sel]] = c[sel] @ q.T
-        return y
-
-    def spread(c: np.ndarray) -> np.ndarray:  # products(lift(c))
-        c = c.reshape(coupled.size, width)
+    # Arrays p of products with R hold [J (-D) y_- R_-, y_+ R_+], the
+    # layout `_sweep` takes with sign 1 for both halves, and E is
+    # [-J E_-, E_+] to match: Q's v < 0 rows are zero at the inflow node
+    # x = l/2, so D is I on them.
+    def spread(c: np.ndarray) -> np.ndarray:  # p of y = Q c
         p = np.zeros((n_x + 1, 4 * n_y))
-        for sel, _, e, _ in blocks:
-            p[coupled[sel]] = c[sel] @ e
+        for nodes, unknowns, _, e, _, _, _, _ in blocks:
+            x = c[unknowns].reshape(nodes.size, -1) @ e
+            p[n_x - nodes, :2 * n_y] = x[:, :2 * n_y]
+            p[nodes, 2 * n_y:] = x[:, 2 * n_y:]
         return p
 
-    def reduce(p: np.ndarray) -> np.ndarray:  # G V^T y from p = products(y)
+    def reduce(p: np.ndarray) -> np.ndarray:  # G V^T y from p of y
         # the sweep acts along x alone, so it commutes with R
-        z_neg, z_pos = sweep(p[:, :2 * n_y], p[:, 2 * n_y:])
-        coef = weights * (z_neg + z_pos)[coupled]
-        out = np.empty((coupled.size, width))
-        for sel, _, _, g in blocks:
-            out[sel] = coef[sel] @ g.T
-        return out.ravel()
+        _sweep(system.stencil, p)
+        z = p[::-1, :2 * n_y] + p[:, 2 * n_y:]
+        out = np.empty(size)
+        for nodes, unknowns, _, _, g, w, _, _ in blocks:
+            out[unknowns] = ((w * z[nodes]) @ g.T).ravel()
+        return out
 
     exponent = np.frexp(np.abs(system.rhs).max())[1]
     rhs = np.ldexp(system.rhs, -exponent)
-    data = np.where(system.inflow, rhs, 0.0)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            b = rhs - _apply_system(system, data)
+            b = rhs - _apply_system(system,
+                                    np.where(system.inflow, rhs, 0.0))
+            p = np.empty((n_x + 1, 4 * n_y))  # of b; R_- = J R_+ diag(parity)
+            p[:, 2 * n_y:] = b[:, half:] @ right
+            p[::-1, :2 * n_y] = (b[:, :half] @ right[::-1]) * -parity
+            p[0, :2 * n_y] *= -1
             c, iterations = _gmres(lambda c: c - reduce(spread(c)),
-                                   reduce(products(b)),
-                                   GMRES_TOL * np.linalg.norm(b))
-            values = np.hstack(sweep(*np.hsplit(b + lift(c), 2)))
+                                   reduce(p), GMRES_TOL * np.linalg.norm(b))
+            for nodes, unknowns, q, _, _, _, neg, pos in blocks:  # Q c
+                c_i = c[unknowns].reshape(nodes.size, -1)
+                b[nodes, :half] += ((neg * c_i) @ q.T)[:, ::-1]
+                b[nodes, half:] += (pos * c_i) @ q.T
+            _sweep(system.stencil, b[::-1, :half], -1.0)
+            _sweep(system.stencil, b[:, half:])
+            values = b
             values[system.inflow] = rhs[system.inflow]
             rhs_norm = np.linalg.norm(rhs)
             res = np.linalg.norm(_apply_system(system, values) - rhs)
-            values = np.ldexp(values, exponent)
+            np.ldexp(values, exponent, out=values)
             values[system.inflow] = system.rhs[system.inflow]
-    except FloatingPointError as exc:
+    except (FloatingPointError, ZeroDivisionError) as exc:
         raise SolverError(
             f"solve left the floating-point range: {exc}") from None
     rel = res / rhs_norm if rhs_norm > 0 else res

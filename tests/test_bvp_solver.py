@@ -4,14 +4,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import solve_banded
 
 from wignerlab.bvp_solver import (RESIDUAL_TOL, BoundaryConditions,
-                                  SpatialMesh, _apply_system,
-                                  assemble_system, solution_to_csv, solve,
-                                  solve_bvp)
+                                  SpatialMesh, _apply_system, _band_product,
+                                  _mask_factors, _sweep, assemble_system,
+                                  solution_to_csv, solve, solve_bvp)
 from wignerlab.cli import load_config
 from wignerlab.errors import ConfigurationError, SolverError
-from wignerlab.operators import VelocityMesh
+from wignerlab.operators import VelocityMesh, _thin_factors, build_theta_kernel
 from wignerlab.potential import PotentialProfile, barrier_profile
 from wignerlab.wigner_potential import QuadratureSpec
 
@@ -252,6 +253,65 @@ def test_coupled_solve_without_dense_blocks(barrier, quad, scheme):
                     gaussian_bc())
     assert sol.residual <= RESIDUAL_TOL
     assert 0 < sol.iterations < 300
+
+
+@pytest.mark.parametrize("which", ["A", "B"])
+@pytest.mark.parametrize("n_v, h", [(12, 1 / 32), (24, 1 / 12)])
+def test_parity_split_factors_match_full_height_qr(barrier, which, n_v, h):
+    # N_y = 8.  At N_v = 12 < 2 N_y every mask's P L is wide and
+    # rank-deficient; at N_v = 24 the interior's is tall, of full column
+    # rank, and the ends' have 12 unmasked rows for 16 columns.  (With more
+    # than 2 N_y unmasked rows the ends' L_+ has a condition number near
+    # 1e6, so neither QR fixes its range to 1e-13; the dense solves with
+    # coupled ends cover that case.)  The full-height Householder QR is the
+    # oracle.  Where P L is rank-deficient its Q has extra columns, which
+    # reach the masked rows only, so Q Q^T is compared on the unmasked rows.
+    kernel = build_theta_kernel(barrier, 1.0, VelocityMesh(n_v, h),
+                                QuadratureSpec(l_y=4, dy=0.5))
+    half = n_v // 2
+    full = _thin_factors(kernel, which)[0]
+    kept = {"interior": np.ones(n_v, dtype=bool),
+            "left": np.arange(n_v) < half, "right": np.arange(n_v) >= half}
+    masks = tuple(kept)
+    for mask, (q, g, neg, pos) in zip(masks, _mask_factors(
+            _thin_factors(kernel, which, rows=slice(half, None))[0], masks)):
+        q = np.vstack([(neg * q)[::-1], pos * q])
+        masked = np.where(kept[mask][:, None], full, 0.0)
+        want_q, want_g = np.linalg.qr(masked)
+        want_q = np.where(kept[mask][:, None], want_q, 0.0)
+        scale = np.abs(masked).max() ** 2
+        assert np.abs(q @ g - masked).max() <= 1e-13 * scale ** 0.5
+        assert np.abs(q.T @ q - np.eye(q.shape[1])).max() <= 1e-13
+        assert np.abs(q @ q.T - want_q @ want_q.T).max() <= 1e-13
+        assert np.abs(g.T @ g - want_g.T @ want_g).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("n_x", [4, 5, 63, 64, 65, 400, 1600])
+@pytest.mark.parametrize("amplitude", [1.0, 1e-300, 1e300])
+def test_sweep_matches_band_solver_and_stencil(quad, n_x, amplitude):
+    # `solve_banded` on the stored bands is the oracle for both signs of v:
+    # T_+ is lower triangular, and T_-^-1 = U^-1 (-D) with U = J T_+ J
+    # upper triangular (J reverses x, D negates the inflow row, the last).
+    stencil = assemble_system(PotentialProfile(segments=()),
+                              SpatialMesh(length=10, n_x=n_x),
+                              VelocityMesh(2, 1 / 32), quad, "original",
+                              gaussian_bc()).stencil
+    b = amplitude * np.random.default_rng(n_x).standard_normal((n_x + 1, 6))
+    z = b.copy()
+    _sweep(stencil, z[::-1, :3], -1.0)
+    _sweep(stencil, z[:, 3:])
+    neg = -b[:, :3]
+    neg[-1] *= -1
+    want = np.hstack([solve_banded((0, 2), stencil[::-1, ::-1], neg),
+                      solve_banded((2, 0), stencil, b[:, 3:])])
+    product = np.hstack([-_band_product(stencil, z[::-1, :3])[::-1],
+                         _band_product(stencil, z[:, 3:])])
+    product[-1, :3] *= -1
+    for half in (slice(None, 3), slice(3, None)):  # norms of unit scale
+        assert (np.linalg.norm((z - want)[:, half] / amplitude)
+                <= 1e-13 * np.linalg.norm(want[:, half] / amplitude))
+        assert (np.linalg.norm((product - b)[:, half] / amplitude)
+                <= 1e-13 * np.linalg.norm(b[:, half] / amplitude))
 
 
 def test_memory_guard_counts_the_reduced_solve(monkeypatch):
