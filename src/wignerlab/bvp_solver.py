@@ -21,10 +21,11 @@ it once, as the three bands of one lower-triangular matrix of order N_x+1
 for v > 0; the v < 0 stencil is its mirror image.  Its exact inverse, the
 transport sweep, is a first-order recurrence along x, run as a prefix scan
 for both signs of v.  After the sweep the system is the identity plus the
-coupling, of rank at most 2*N_y per node whatever N_v is, so the solver
-runs GMRES in the range of the coupling: on at most min(N_v, 2*N_y)
-unknowns per coupled node.  The velocity mesh is symmetric, so the
-coupling's factors split by v-parity and only their v > 0 rows are formed
+coupling, of rank at most 2*N_y per node whatever N_v is, so the solver runs
+GMRES in the range of the coupling: on at most min(N_v, 2*N_y) unknowns per
+coupled node.  They share one QR of the coupling's left factor, the inflow
+ends too, whose inflow rows the reduced products zero; the velocity mesh is
+symmetric, so the QR splits by v-parity and only its v > 0 rows are formed
 and factored.  The sweep acts along x alone, so it commutes with the
 products over v, and an iteration sweeps (N_x+1, 4*N_y) projections of the
 grid instead of the grid: its cost does not depend on N_v.  Because the
@@ -147,13 +148,13 @@ def assemble_system(profile: PotentialProfile, smesh: SpatialMesh,
     # Krylov basis, the S and C tables and the factors, is 2.4 to 3.8 of
     # them at N_x = 100, N_v = 8192 and 65536 and at N_x = 400,
     # N_v = 2048), the sweep's temporary (at most half of one) among them;
-    # every node's differences; five (N_v/2, cols) arrays:
-    # the v > 0 rows of the thin factors, the interior Q_1, Q_2, the ends'
-    # Q_3 and a copy made while they are factored; the E tables, of at most
-    # 3 cols rows; six (N_x+1, 4 N_y) projected arrays; and a Krylov basis
-    # of reduced vectors, at most min(N_v, cols) entries per node
+    # every node's differences; four (N_v/2, cols) arrays:
+    # the v > 0 rows of the thin factors, Q_1|Q_2 and a copy made while
+    # they are factored; E and G, of at most cols rows and 3 cols columns
+    # together; six (N_x+1, 4 N_y) projected arrays; and a Krylov basis of
+    # reduced vectors, at most min(N_v, cols) entries per node
     check_memory(n_v, n_y, 8 * ((n_x + 1) * (16 * n_v + n_y + 6 * 4 * n_y)
-                                + 5 * (n_v // 2) * cols + 3 * cols * cols
+                                + 4 * (n_v // 2) * cols + 3 * cols * cols
                                 + (MAX_ITERATIONS + 1) * (n_x + 1)
                                 * min(n_v, cols)))
     dx = smesh.dx
@@ -233,48 +234,29 @@ def _sweep(stencil: np.ndarray, z: np.ndarray, sign: float = 1.0) -> None:
         row += prev
 
 
-def _mask_factors(left: np.ndarray, masks) -> list:
-    """Householder QR P L = Q G of the coupling's left factor L for each row
-    mask in `masks` ('interior', 'left' or 'right' end), from the v > 0 rows
-    `left` of L alone.
+def _parity_factors(left: np.ndarray) -> tuple:
+    """Householder QR L = Q G of the coupling's left factor L, shared by
+    every coupled node, from the v > 0 rows `left` of L alone.
 
     The mesh is symmetric, v_{-n-1} = -v_n, so with J reversing the v > 0
     half, L's v < 0 rows are J L_+ diag(I, -I): its first N_y columns are
     even in v and the rest odd (`operators.operator_norm`).  So
+    L = [J L_1+, -J L_2+; L_1+, L_2+], whose two column groups are
+    orthogonal; with sqrt(2) L_g+ = Q_g G_g, the group is
+    [+-J Q_g; Q_g]/sqrt(2) times G_g, two QRs of order at most N_y
+    (Cantoni & Butler, Linear Algebra Appl. 13, 1976).
 
-      interior (P = I): [J L_1+, -J L_2+; L_1+, L_2+], whose two column
-          groups are orthogonal; with sqrt(2) L_g+ = Q_g G_g, the group is
-          [+-J Q_g; Q_g]/sqrt(2) times G_g, two QRs of order at most N_y;
-      right end (v < 0 rows zeroed): [0; L_+] = [0; Q_3] G_3 with
-          L_+ = Q_3 G_3;
-      left end (v > 0 rows zeroed): [J L_+ diag(I, -I); 0]
-          = [J Q_3; 0] G_3 diag(I, -I), the same QR.
-
-    Returns (q, g, neg, pos) for each mask: Q = [J q diag(neg); q diag(pos)]
-    and G = g, with neg and pos the signs, -1, 0 or 1, of Q's columns.
+    Returns (q, g, neg): Q = [J q diag(neg); q] and G = g, with neg the
+    signs, 1 or -1, of Q's columns in its v < 0 rows.
     """
     n_y = left.shape[1] // 2
-    parity = np.repeat([1.0, -1.0], n_y)
-    out, end = [], None
-    for mask in masks:
-        if mask == "interior":
-            q_1, g_1 = np.linalg.qr(left[:, :n_y])
-            q_2, g_2 = np.linalg.qr(left[:, n_y:])
-            q = np.hstack([q_1, q_2])
-            q /= np.sqrt(2)
-            g = np.zeros((q.shape[1], 2 * n_y))
-            g[:len(g_1), :n_y] = np.sqrt(2) * g_1
-            g[len(g_1):, n_y:] = np.sqrt(2) * g_2
-            neg = np.repeat([1.0, -1.0], [len(g_1), len(g_2)])
-            out.append((q, g, neg, np.ones(len(g))))
-        else:
-            if end is None:
-                end = np.linalg.qr(left)
-            q, g = end
-            ones, zeros = np.ones(len(g)), np.zeros(len(g))
-            out.append((q, g * parity, ones, zeros) if mask == "left"
-                       else (q, g, zeros, ones))
-    return out
+    q_1, g_1 = np.linalg.qr(left[:, :n_y])
+    q_2, g_2 = np.linalg.qr(left[:, n_y:])
+    q = np.hstack([q_1, q_2]) / np.sqrt(2)
+    g = np.zeros((q.shape[1], 2 * n_y))
+    g[:len(g_1), :n_y] = np.sqrt(2) * g_1
+    g[len(g_1):, n_y:] = np.sqrt(2) * g_2
+    return q, g, np.repeat([1.0, -1.0], [len(g_1), len(g_2)])
 
 
 def _gmres(matvec, b: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
@@ -338,50 +320,42 @@ def solve(system: BlockSystem) -> WignerSolution:
     """Solve the assembled system by GMRES in the range of the coupling.
 
     The inflow rows are identity rows, so the inflow values are the data;
-    the rest solve A f = b, with the data moved to the right-hand side b.
-    With T the upwind transport operator (the coupling removed), whose
-    inverse is the transport sweep, A T^-1 = I - U V^T: U holds P L at each
-    coupled node, with L the node-independent left factor of
-    `operators._thin_factors` and P zeroing the inflow rows, and V^T is
-    T^-1 followed by each node's weighted right factor.  With one
-    Householder QR P L = Q G per row mask (interior, left end, right end),
-    f = T^-1 (b + Q c) where
+    the rest solve A f = b, with the data moved to the right-hand side b,
+    whose inflow rows are then zero.  With T the upwind transport operator
+    (the coupling removed), whose inverse is the transport sweep,
+    A T^-1 = I - P L V^T: L is the left factor of `operators._thin_factors`
+    at each coupled node, the same at all of them, P zeroes the inflow
+    rows, and V^T is T^-1 followed by each node's weighted right factor.
+    With the QR L = Q G (`_parity_factors`), f = T^-1 (b + P Q c) where
 
-        (I - G V^T Q) c = G V^T b,
+        (I - G V^T P Q) c = G V^T b,
 
-    on the columns of Q, 2 min(N_v/2, N_y) per interior node and
-    min(N_v/2, 2 N_y) per end node, whatever N_v is (the capacitance form
-    of the Woodbury identity; Hager 1989).  GMRES solves it from c = 0.  Q
-    has orthonormal columns, so this residual is the true residual of
-    A T^-1 y = b at y = b + Q c; GMRES stops when it reaches GMRES_TOL times
-    the norm of b, the forcing the data exert on the interior rows.  Nodes
-    whose kernel is zero drop out; with none left, c is empty and
+    on the 2 min(N_v/2, N_y) columns of Q per coupled node, whatever N_v is
+    (the capacitance form of the Woodbury identity; Hager 1989).  GMRES
+    solves it from c = 0.  The true residual of A T^-1 y = b at
+    y = b + P Q c is P Q times the reduced one, and ||P Q|| <= 1 (Q has
+    orthonormal columns), so GMRES's stop at GMRES_TOL times the norm of
+    b, the forcing the data exert on the interior rows, bounds it too.
+    Nodes whose kernel is zero drop out; with none left, c is empty and
     f = T^-1 b after no iteration.
-
-    The mesh is symmetric in v, so only the v > 0 rows of the thin factors
-    are formed: the QRs split by v-parity into QRs of order at most N_y at
-    the interior nodes and one QR shared by both ends (`_mask_factors`;
-    Cantoni & Butler, Linear Algebra Appl. 13, 1976), and Q's v < 0 rows
-    are +-J times its v > 0 rows.
 
     T^-1 acts along x alone and is the same for every v of one sign, so it
     commutes with the products over v (the mixed-product rule of Kronecker
     products; Van Loan 2000).  With R_s and Q_s the rows of the right
-    factor R = [C, S] and of Q where v has the sign s, (V^T Q c) at node i
-    is
+    factor R = [C, S] and of Q where v has the sign s, node i of V^T Q c is
 
         w_i * sum_s sum_j T_s^-1[i, j] E_s c_j,   E_s = Q_s^T R_s,
 
-    with E_+ tabulated once per row mask from R_+ alone and
-    E_- = diag(neg) E_+ diag(parity), R's parity being that of C (even)
-    and S (odd): at the interior nodes E_- is E_+ with its off-diagonal
-    parity blocks negated.  An iteration sweeps the
-    (N_x+1, 4 N_y) array of the [E_- c_j, E_+ c_j] and costs
-    O((coupled nodes) N_y^2) whatever N_v is; only the right-hand side,
-    whose products with R are taken once, and f are swept on the grid.
-    A and B share R and differ only in L, so both schemes run the same
-    iteration.  The sweep (`_sweep`) is a prefix scan along x for both
-    signs of v (T_- = -D J T_+ J), in place.
+    with E_+ tabulated once from R_+ alone and E_- = diag(neg) E_+
+    diag(parity), R's parity being that of C (even) and S (odd).  An
+    iteration sweeps the (N_x+1, 4 N_y) array of the [E_- c_j, E_+ c_j]
+    and costs O((coupled nodes) N_y^2) whatever N_v is; only the
+    right-hand side, whose products with R are taken once, and f are swept
+    on the grid.  The array's v < 0 half runs backwards in x, so
+    its row 0 holds both inflow rows, node 0's v > 0 half and node N_x's
+    v < 0 half: P zeroes that row.  A and B share R and differ only in L,
+    so both schemes run the same iteration.  The sweep (`_sweep`) is a
+    prefix scan along x for both signs of v (T_- = -D J T_+ J), in place.
 
     The right-hand side is divided by the power of two that brings its
     largest entry into [1/2, 1), so that no norm, the residual check's
@@ -397,41 +371,27 @@ def solve(system: BlockSystem) -> WignerSolution:
     n_y = right.shape[1] // 2
     parity = np.repeat([1.0, -1.0], n_y)  # of R's columns, C even, S odd
     coupled = np.flatnonzero(kernel.diff.any(axis=-1))
-    masks = {mask: nodes for mask, nodes in (
-        ("interior", coupled[(coupled > 0) & (coupled < n_x)]),
-        ("left", coupled[coupled == 0]), ("right", coupled[coupled == n_x]))
-        if nodes.size}
-    blocks = []  # (nodes, their unknowns, q, E, G, weights, neg, pos)
-    size = 0
-    for nodes, (q, g, neg, pos) in zip(masks.values(),
-                                       _mask_factors(left, masks)):
-        unknowns = slice(size, size + nodes.size * len(g))
-        size = unknowns.stop
-        e = q.T @ right  # E_+; E_- = diag(neg) E_+ diag(parity)
-        e = np.hstack([-neg[:, None] * e * parity, pos[:, None] * e])
-        blocks.append((nodes, unknowns, q, e, g,
-                       np.tile(kernel.weights[nodes], 2), neg, pos))
+    weights = np.tile(kernel.weights[coupled], 2)
+    q, g, neg = _parity_factors(left)
+    e = q.T @ right  # E_+; E_- = diag(neg) E_+ diag(parity)
+    e = np.hstack([-neg[:, None] * e * parity, e])
 
     # Arrays p of products with R hold [J (-D) y_- R_-, y_+ R_+], the
     # layout `_sweep` takes with sign 1 for both halves, and E is
-    # [-J E_-, E_+] to match: Q's v < 0 rows are zero at the inflow node
-    # x = l/2, so D is I on them.
-    def spread(c: np.ndarray) -> np.ndarray:  # p of y = Q c
+    # [-J E_-, E_+] to match: D negates row 0 of p, which P zeroes.
+    def spread(c: np.ndarray) -> np.ndarray:  # p of y = P Q c
+        x = c.reshape(-1, len(g)) @ e
         p = np.zeros((n_x + 1, 4 * n_y))
-        for nodes, unknowns, _, e, _, _, _, _ in blocks:
-            x = c[unknowns].reshape(nodes.size, -1) @ e
-            p[n_x - nodes, :2 * n_y] = x[:, :2 * n_y]
-            p[nodes, 2 * n_y:] = x[:, 2 * n_y:]
+        p[n_x - coupled, :2 * n_y] = x[:, :2 * n_y]
+        p[coupled, 2 * n_y:] = x[:, 2 * n_y:]
+        p[0] = 0.0  # P
         return p
 
     def reduce(p: np.ndarray) -> np.ndarray:  # G V^T y from p of y
         # the sweep acts along x alone, so it commutes with R
         _sweep(system.stencil, p)
         z = p[::-1, :2 * n_y] + p[:, 2 * n_y:]
-        out = np.empty(size)
-        for nodes, unknowns, _, _, g, w, _, _ in blocks:
-            out[unknowns] = ((w * z[nodes]) @ g.T).ravel()
-        return out
+        return ((weights * z[coupled]) @ g.T).ravel()
 
     exponent = np.frexp(np.abs(system.rhs).max())[1]
     rhs = np.ldexp(system.rhs, -exponent)
@@ -442,13 +402,12 @@ def solve(system: BlockSystem) -> WignerSolution:
             p = np.empty((n_x + 1, 4 * n_y))  # of b; R_- = J R_+ diag(parity)
             p[:, 2 * n_y:] = b[:, half:] @ right
             p[::-1, :2 * n_y] = (b[:, :half] @ right[::-1]) * -parity
-            p[0, :2 * n_y] *= -1
             c, iterations = _gmres(lambda c: c - reduce(spread(c)),
                                    reduce(p), GMRES_TOL * np.linalg.norm(b))
-            for nodes, unknowns, q, _, _, _, neg, pos in blocks:  # Q c
-                c_i = c[unknowns].reshape(nodes.size, -1)
-                b[nodes, :half] += ((neg * c_i) @ q.T)[:, ::-1]
-                b[nodes, half:] += (pos * c_i) @ q.T
+            c = c.reshape(-1, len(g))  # y = b + P Q c
+            b[coupled, :half] += ((neg * c) @ q.T)[:, ::-1]
+            b[coupled, half:] += c @ q.T
+            b[0, half:] = b[n_x, :half] = 0.0  # P; b is zero there
             _sweep(system.stencil, b[::-1, :half], -1.0)
             _sweep(system.stencil, b[:, half:])
             values = b

@@ -8,7 +8,7 @@ from scipy.linalg import solve_banded
 
 from wignerlab.bvp_solver import (RESIDUAL_TOL, BoundaryConditions,
                                   SpatialMesh, _apply_system, _band_product,
-                                  _mask_factors, _sweep, assemble_system,
+                                  _parity_factors, _sweep, assemble_system,
                                   solution_to_csv, solve, solve_bvp)
 from wignerlab.cli import load_config
 from wignerlab.errors import ConfigurationError, SolverError
@@ -258,32 +258,24 @@ def test_coupled_solve_without_dense_blocks(barrier, quad, scheme):
 @pytest.mark.parametrize("which", ["A", "B"])
 @pytest.mark.parametrize("n_v, h", [(12, 1 / 32), (24, 1 / 12)])
 def test_parity_split_factors_match_full_height_qr(barrier, which, n_v, h):
-    # N_y = 8.  At N_v = 12 < 2 N_y every mask's P L is wide and
-    # rank-deficient; at N_v = 24 the interior's is tall, of full column
-    # rank, and the ends' have 12 unmasked rows for 16 columns.  (With more
-    # than 2 N_y unmasked rows the ends' L_+ has a condition number near
-    # 1e6, so neither QR fixes its range to 1e-13; the dense solves with
-    # coupled ends cover that case.)  The full-height Householder QR is the
-    # oracle.  Where P L is rank-deficient its Q has extra columns, which
-    # reach the masked rows only, so Q Q^T is compared on the unmasked rows.
+    # N_y = 8.  At N_v = 12 < 2 N_y the left factor L is wide, of full
+    # row rank; at N_v = 24 it is tall, of full column rank.  The
+    # full-height Householder QR of L is the oracle.  The two parity QRs
+    # need not give its Q and G, only the same projector Q Q^T and the
+    # same G^T G = L^T L, so those are compared.
     kernel = build_theta_kernel(barrier, 1.0, VelocityMesh(n_v, h),
                                 QuadratureSpec(l_y=4, dy=0.5))
     half = n_v // 2
     full = _thin_factors(kernel, which)[0]
-    kept = {"interior": np.ones(n_v, dtype=bool),
-            "left": np.arange(n_v) < half, "right": np.arange(n_v) >= half}
-    masks = tuple(kept)
-    for mask, (q, g, neg, pos) in zip(masks, _mask_factors(
-            _thin_factors(kernel, which, rows=slice(half, None))[0], masks)):
-        q = np.vstack([(neg * q)[::-1], pos * q])
-        masked = np.where(kept[mask][:, None], full, 0.0)
-        want_q, want_g = np.linalg.qr(masked)
-        want_q = np.where(kept[mask][:, None], want_q, 0.0)
-        scale = np.abs(masked).max() ** 2
-        assert np.abs(q @ g - masked).max() <= 1e-13 * scale ** 0.5
-        assert np.abs(q.T @ q - np.eye(q.shape[1])).max() <= 1e-13
-        assert np.abs(q @ q.T - want_q @ want_q.T).max() <= 1e-13
-        assert np.abs(g.T @ g - want_g.T @ want_g).max() <= 1e-13 * scale
+    q, g, neg = _parity_factors(
+        _thin_factors(kernel, which, rows=slice(half, None))[0])
+    q = np.vstack([(neg * q)[::-1], q])
+    want_q, want_g = np.linalg.qr(full)
+    scale = np.abs(full).max() ** 2
+    assert np.abs(q @ g - full).max() <= 1e-13 * scale ** 0.5
+    assert np.abs(q.T @ q - np.eye(q.shape[1])).max() <= 1e-13
+    assert np.abs(q @ q.T - want_q @ want_q.T).max() <= 1e-13
+    assert np.abs(g.T @ g - want_g.T @ want_g).max() <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("n_x", [4, 5, 63, 64, 65, 400, 1600])
