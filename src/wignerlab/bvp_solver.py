@@ -21,17 +21,17 @@ it once, as the three bands of one lower-triangular matrix of order N_x+1
 for v > 0; the v < 0 stencil is its mirror image.  Its exact inverse, the
 transport sweep, is a first-order recurrence along x, run as a prefix scan
 for both signs of v.  After the sweep the system is the identity plus the
-coupling, of rank at most 2*N_y per node whatever N_v is, so the solver runs
-GMRES in the range of the coupling: on at most min(N_v, 2*N_y) unknowns per
-coupled node.  They share one QR of the coupling's left factor, the inflow
-ends too, whose inflow rows the reduced products zero; the velocity mesh is
-symmetric, so the QR splits by v-parity and only its v > 0 rows are formed
-and factored.  The sweep acts along x alone, so it commutes with the
-products over v, and an iteration sweeps (N_x+1, 4*N_y) projections of the
-grid instead of the grid: its cost does not depend on N_v.  Because the
-discrete B[V] is bounded uniformly in the velocity mesh, the number of
-iterations of the 'improved' scheme does not grow as the mesh is refined
-either.
+coupling L diag(w_i, w_i) R^T at node i, with thin factors L and R the same
+at every node, so the solver runs GMRES on the nodes' weighted moments
+diag(w_i, w_i) R^T f_i: two per nonzero potential difference D_V(x_i, y_j),
+at most 2*N_y per node whatever N_v is, the inflow ends included, whose
+inflow rows the reduced products zero.  The velocity mesh is symmetric, so
+only the v > 0 rows of L and R are formed.  The sweep acts along x alone,
+so it commutes with the products over v, and an iteration sweeps
+(N_x+1, 4*N_y) projections of the grid instead of the grid: its cost does
+not depend on N_v.  Because the discrete B[V] is bounded uniformly in the
+velocity mesh, the number of iterations of the 'improved' scheme does not
+grow as the mesh is refined either.
 """
 
 from __future__ import annotations
@@ -145,18 +145,16 @@ def assemble_system(profile: PotentialProfile, smesh: SpatialMesh,
     n_x, n_v, n_y = smesh.n_x, vmesh.n_v, quad.n_y
     cols = 2 * n_y  # of the thin factors
     # 16 (N_x+1, N_v) work arrays (a solve's tracemalloc peak, net of the
-    # Krylov basis, the S and C tables and the factors, is 2.4 to 3.8 of
+    # Krylov basis, the S and C tables and the factors, is 3.0 to 4.0 of
     # them at N_x = 100, N_v = 8192 and 65536 and at N_x = 400,
     # N_v = 2048), the sweep's temporary (at most half of one) among them;
-    # every node's differences; four (N_v/2, cols) arrays:
-    # the v > 0 rows of the thin factors, Q_1|Q_2 and a copy made while
-    # they are factored; E and G, of at most cols rows and 3 cols columns
+    # every node's differences; two (N_v/2, cols) arrays, the v > 0 rows
+    # of the thin factors; H_+ and H, of cols rows and 3 cols columns
     # together; six (N_x+1, 4 N_y) projected arrays; and a Krylov basis of
-    # reduced vectors, at most min(N_v, cols) entries per node
+    # reduced vectors, at most cols live entries per node
     check_memory(n_v, n_y, 8 * ((n_x + 1) * (16 * n_v + n_y + 6 * 4 * n_y)
-                                + 4 * (n_v // 2) * cols + 3 * cols * cols
-                                + (MAX_ITERATIONS + 1) * (n_x + 1)
-                                * min(n_v, cols)))
+                                + 2 * (n_v // 2) * cols + 3 * cols * cols
+                                + (MAX_ITERATIONS + 1) * (n_x + 1) * cols))
     dx = smesh.dx
     v = vmesh.nodes
     pos = v > 0
@@ -234,29 +232,55 @@ def _sweep(stencil: np.ndarray, z: np.ndarray, sign: float = 1.0) -> None:
         row += prev
 
 
-def _parity_factors(left: np.ndarray) -> tuple:
-    """Householder QR L = Q G of the coupling's left factor L, shared by
-    every coupled node, from the v > 0 rows `left` of L alone.
+def _lift(system: BlockSystem, rhs: np.ndarray, left: np.ndarray,
+          right: np.ndarray) -> np.ndarray:
+    """b = rhs - A d, the data d (the inflow rows of rhs) moved to the
+    right-hand side, with `left` and `right` the v > 0 rows of the thin
+    factors at weights 1.
+
+    d sits on node 0's v > 0 half and node N_x's v < 0 half alone.  The
+    stencil moves it into rows 1 and 2 of its sign, and each end's
+    coupling L W R^T into the other half of its row; the v < 0 rows of L
+    and R are J L_+ and J R_+ with their odd columns negated.  Every
+    other row of b, the inflow rows among them, is zero, so this costs
+    O(N_v N_y) where the product with the system costs a grid pass.
+    """
+    n_x, half = system.smesh.n_x, system.vmesh.n_v // 2
+    n_y = right.shape[1] // 2
+    parity = np.repeat([1.0, -1.0], n_y)  # of L's and R's columns
+    w_0, w_n = np.tile(system.coupling.weights[[0, n_x]], 2)
+    d_0, d_n = rhs[0, half:], rhs[n_x, :half]
+    b = np.zeros_like(rhs)
+    b[1:3, half:] = -system.stencil[1:, :1] * d_0
+    b[n_x - 2:n_x, :half] = system.stencil[:0:-1, :1] * d_n
+    b[0, :half] = (left @ (parity * w_0 * (d_0 @ right)))[::-1]
+    b[n_x, half:] = left @ (parity * w_n * (d_n[::-1] @ right))
+    return b
+
+
+def _coupling_products(left: np.ndarray,
+                       right: np.ndarray) -> tuple[np.ndarray, float]:
+    """The table H = [-H_-, H_+] of the products H_s = L_s^T R_s of the
+    coupling's thin factors, and the spectral norm of the left factor L,
+    from the v > 0 rows `left` and `right` of L and R alone.
 
     The mesh is symmetric, v_{-n-1} = -v_n, so with J reversing the v > 0
-    half, L's v < 0 rows are J L_+ diag(I, -I): its first N_y columns are
-    even in v and the rest odd (`operators.operator_norm`).  So
-    L = [J L_1+, -J L_2+; L_1+, L_2+], whose two column groups are
-    orthogonal; with sqrt(2) L_g+ = Q_g G_g, the group is
-    [+-J Q_g; Q_g]/sqrt(2) times G_g, two QRs of order at most N_y
-    (Cantoni & Butler, Linear Algebra Appl. 13, 1976).
-
-    Returns (q, g, neg): Q = [J q diag(neg); q] and G = g, with neg the
-    signs, 1 or -1, of Q's columns in its v < 0 rows.
+    half, the v < 0 rows of L and of R are J L_+ diag(I, -I) and
+    J R_+ diag(I, -I): the first N_y columns of each are even in v and the
+    rest odd (`operators.operator_norm`).  So H_- is H_+ with its
+    off-diagonal parity blocks negated, and L = [J L_1+, -J L_2+; L_1+,
+    L_2+], whose two column groups are orthogonal, has
+    ||L||_2 = sqrt(2) max_g ||L_g+||_2 (Cantoni & Butler, Linear Algebra
+    Appl. 13, 1976); each ||L_g+||_2 is the square root of the largest
+    eigenvalue of the Gram matrix L_g+^T L_g+, of order N_y.
     """
-    n_y = left.shape[1] // 2
-    q_1, g_1 = np.linalg.qr(left[:, :n_y])
-    q_2, g_2 = np.linalg.qr(left[:, n_y:])
-    q = np.hstack([q_1, q_2]) / np.sqrt(2)
-    g = np.zeros((q.shape[1], 2 * n_y))
-    g[:len(g_1), :n_y] = np.sqrt(2) * g_1
-    g[len(g_1):, n_y:] = np.sqrt(2) * g_2
-    return q, g, np.repeat([1.0, -1.0], [len(g_1), len(g_2)])
+    n_y = right.shape[1] // 2
+    parity = np.repeat([1.0, -1.0], n_y)
+    h = left.T @ right
+    gram = max(np.linalg.eigvalsh(left[:, g].T @ left[:, g])[-1]
+               for g in (slice(None, n_y), slice(n_y, None)))
+    return (np.hstack([-parity[:, None] * h * parity, h]),
+            float(np.sqrt(2 * gram)))
 
 
 def _gmres(matvec, b: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
@@ -317,7 +341,8 @@ def _gmres(matvec, b: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
 
 
 def solve(system: BlockSystem) -> WignerSolution:
-    """Solve the assembled system by GMRES in the range of the coupling.
+    """Solve the assembled system by GMRES on the coupling's weighted
+    moments.
 
     The inflow rows are identity rows, so the inflow values are the data;
     the rest solve A f = b, with the data moved to the right-hand side b,
@@ -325,37 +350,42 @@ def solve(system: BlockSystem) -> WignerSolution:
     (the coupling removed), whose inverse is the transport sweep,
     A T^-1 = I - P L V^T: L is the left factor of `operators._thin_factors`
     at each coupled node, the same at all of them, P zeroes the inflow
-    rows, and V^T is T^-1 followed by each node's weighted right factor.
-    With the QR L = Q G (`_parity_factors`), f = T^-1 (b + P Q c) where
+    rows, and V^T is T^-1 followed by each node's weighted right factor,
+    u_i = W_i R^T (T^-1 y)_i with W_i = diag(w_i, w_i).  So
+    f = T^-1 (b + P L u) where
 
-        (I - G V^T P Q) c = G V^T b,
+        (I - V^T P L) u = V^T b,
 
-    on the 2 min(N_v/2, N_y) columns of Q per coupled node, whatever N_v is
-    (the capacitance form of the Woodbury identity; Hager 1989).  GMRES
-    solves it from c = 0.  The true residual of A T^-1 y = b at
-    y = b + P Q c is P Q times the reduced one, and ||P Q|| <= 1 (Q has
-    orthonormal columns), so GMRES's stop at GMRES_TOL times the norm of
-    b, the forcing the data exert on the interior rows, bounds it too.
-    Nodes whose kernel is zero drop out; with none left, c is empty and
-    f = T^-1 b after no iteration.
+    the capacitance form of the Woodbury identity (Hager 1989).  u_i is
+    zero wherever node i's differences are, so GMRES solves for the
+    2 nnz(D_V) live entries of u alone, from u = 0, whatever N_v is; with
+    none live, u is empty and f = T^-1 b after no iteration.  The true
+    residual of A T^-1 y = b at y = b + P L u is P L times the reduced
+    residual, which is zero off the live entries, and ||P|| <= 1, so GMRES
+    stops at GMRES_TOL ||b|| / ||L||_2: then the true residual is at most
+    GMRES_TOL times the norm of b, the forcing the data exert on the
+    interior rows.
 
     T^-1 acts along x alone and is the same for every v of one sign, so it
     commutes with the products over v (the mixed-product rule of Kronecker
-    products; Van Loan 2000).  With R_s and Q_s the rows of the right
-    factor R = [C, S] and of Q where v has the sign s, node i of V^T Q c is
+    products; Van Loan 2000).  With R_s and L_s the rows of the right
+    factor R = [C, S] and of L where v has the sign s, node i of V^T P L u
+    is, P aside,
 
-        w_i * sum_s sum_j T_s^-1[i, j] E_s c_j,   E_s = Q_s^T R_s,
+        W_i sum_s sum_j T_s^-1[i, j] H_s^T u_j,   H_s = L_s^T R_s,
 
-    with E_+ tabulated once from R_+ alone and E_- = diag(neg) E_+
-    diag(parity), R's parity being that of C (even) and S (odd).  An
-    iteration sweeps the (N_x+1, 4 N_y) array of the [E_- c_j, E_+ c_j]
-    and costs O((coupled nodes) N_y^2) whatever N_v is; only the
-    right-hand side, whose products with R are taken once, and f are swept
-    on the grid.  The array's v < 0 half runs backwards in x, so
-    its row 0 holds both inflow rows, node 0's v > 0 half and node N_x's
-    v < 0 half: P zeroes that row.  A and B share R and differ only in L,
-    so both schemes run the same iteration.  The sweep (`_sweep`) is a
-    prefix scan along x for both signs of v (T_- = -D J T_+ J), in place.
+    with H_+ tabulated once and H_- from it (`_coupling_products`).  An
+    iteration sweeps the (N_x+1, 4 N_y) array of the [u_j H_-, u_j H_+]
+    and costs O((N_x+1) N_y^2) whatever N_v is.  The array's v < 0 half
+    runs backwards in x, so its row 0 holds both inflow rows, node 0's
+    v > 0 half and node N_x's v < 0 half: P zeroes that row.  A and B
+    share R and differ only in L, so both schemes run the same iteration.
+    The sweep (`_sweep`) is a prefix scan along x for both signs of v
+    (T_- = -D J T_+ J), in place.  The data sit on the two inflow rows
+    alone, so b is the right-hand side moved by the stencil into rows 1
+    and 2 of its sign and by the ends' couplings into the other half of
+    their rows: only those six rows are formed and projected, in
+    O(N_v N_y).  The grid is swept once, for f.
 
     The right-hand side is divided by the power of two that brings its
     largest entry into [1/2, 1), so that no norm, the residual check's
@@ -369,44 +399,50 @@ def solve(system: BlockSystem) -> WignerSolution:
     which = "A" if system.scheme == "original" else "B"
     left, right = _thin_factors(kernel, which, rows=slice(half, None))
     n_y = right.shape[1] // 2
-    parity = np.repeat([1.0, -1.0], n_y)  # of R's columns, C even, S odd
-    coupled = np.flatnonzero(kernel.diff.any(axis=-1))
-    weights = np.tile(kernel.weights[coupled], 2)
-    q, g, neg = _parity_factors(left)
-    e = q.T @ right  # E_+; E_- = diag(neg) E_+ diag(parity)
-    e = np.hstack([-neg[:, None] * e * parity, e])
+    parity = np.repeat([1.0, -1.0], n_y)  # of L's and R's columns
+    weights = np.tile(kernel.weights, 2)  # the diagonals of the W_i
+    coupled = np.flatnonzero(weights.any(axis=-1))
+    weights = weights[coupled]
+    live = weights != 0
+    h, left_norm = _coupling_products(left, right)
+
+    def full(u: np.ndarray) -> np.ndarray:  # u at the coupled nodes
+        out = np.zeros(live.shape)
+        out[live] = u
+        return out
 
     # Arrays p of products with R hold [J (-D) y_- R_-, y_+ R_+], the
-    # layout `_sweep` takes with sign 1 for both halves, and E is
-    # [-J E_-, E_+] to match: D negates row 0 of p, which P zeroes.
-    def spread(c: np.ndarray) -> np.ndarray:  # p of y = P Q c
-        x = c.reshape(-1, len(g)) @ e
+    # layout `_sweep` takes with sign 1 for both halves, and H is
+    # [-H_-, H_+] to match: D negates row 0 of p, which P zeroes.
+    def spread(u: np.ndarray) -> np.ndarray:  # p of y = P L u
+        x = full(u) @ h
         p = np.zeros((n_x + 1, 4 * n_y))
         p[n_x - coupled, :2 * n_y] = x[:, :2 * n_y]
         p[coupled, 2 * n_y:] = x[:, 2 * n_y:]
         p[0] = 0.0  # P
         return p
 
-    def reduce(p: np.ndarray) -> np.ndarray:  # G V^T y from p of y
+    def reduce(p: np.ndarray) -> np.ndarray:  # V^T y from p of y
         # the sweep acts along x alone, so it commutes with R
         _sweep(system.stencil, p)
         z = p[::-1, :2 * n_y] + p[:, 2 * n_y:]
-        return ((weights * z[coupled]) @ g.T).ravel()
+        return (weights * z[coupled])[live]
 
     exponent = np.frexp(np.abs(system.rhs).max())[1]
     rhs = np.ldexp(system.rhs, -exponent)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            b = rhs - _apply_system(system,
-                                    np.where(system.inflow, rhs, 0.0))
-            p = np.empty((n_x + 1, 4 * n_y))  # of b; R_- = J R_+ diag(parity)
-            p[:, 2 * n_y:] = b[:, half:] @ right
-            p[::-1, :2 * n_y] = (b[:, :half] @ right[::-1]) * -parity
-            c, iterations = _gmres(lambda c: c - reduce(spread(c)),
-                                   reduce(p), GMRES_TOL * np.linalg.norm(b))
-            c = c.reshape(-1, len(g))  # y = b + P Q c
-            b[coupled, :half] += ((neg * c) @ q.T)[:, ::-1]
-            b[coupled, half:] += c @ q.T
+            b = _lift(system, rhs, left, right)
+            rows = np.r_[:3, n_x - 2:n_x + 1]  # of b that can be nonzero
+            p = np.zeros((n_x + 1, 4 * n_y))  # of b
+            p[rows, 2 * n_y:] = b[rows, half:] @ right
+            p[n_x - rows, :2 * n_y] = (b[rows, :half] @ right[::-1]) * -parity
+            u, iterations = _gmres(
+                lambda u: u - reduce(spread(u)), reduce(p),
+                GMRES_TOL * np.linalg.norm(b) / left_norm)
+            u = full(u)  # y = b + P L u
+            b[coupled, :half] += ((parity * u) @ left.T)[:, ::-1]
+            b[coupled, half:] += u @ left.T
             b[0, half:] = b[n_x, :half] = 0.0  # P; b is zero there
             _sweep(system.stencil, b[::-1, :half], -1.0)
             _sweep(system.stencil, b[:, half:])

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_banded
 
+from wignerlab import bvp_solver
 from wignerlab.bvp_solver import (RESIDUAL_TOL, BoundaryConditions,
                                   SpatialMesh, _apply_system, _band_product,
-                                  _parity_factors, _sweep, assemble_system,
-                                  solution_to_csv, solve, solve_bvp)
+                                  _coupling_products, _lift, _sweep,
+                                  assemble_system, solution_to_csv, solve,
+                                  solve_bvp)
 from wignerlab.cli import load_config
 from wignerlab.errors import ConfigurationError, SolverError
 from wignerlab.operators import VelocityMesh, _thin_factors, build_theta_kernel
@@ -175,10 +177,10 @@ def test_solve_matches_dense_solve(barrier, quad, scheme):
 def test_solve_with_coupled_inflow_ends_matches_dense_solve(barrier, scheme,
                                                             n_v):
     # With L_y = 8 the kernel reaches the barrier from the inflow ends
-    # x = -5 and 5 of a 10-long device, so the end nodes' masked factors
-    # enter the reduced solve.  They have 2 N_y + 1 = 33 columns and N_v / 2
-    # unmasked rows: wide at N_v = 8, rank-deficient at 64, of full rank
-    # at 80.
+    # x = -5 and 5 of a 10-long device, so the end nodes' weighted moments
+    # enter the reduced solve, and P zeroes the inflow rows of L u at
+    # those coupled ends.  L has 2 N_y = 32 columns: wide at N_v = 8 and
+    # tall at 64 and 80.
     system = assemble_system(barrier, SpatialMesh(length=10, n_x=6),
                              VelocityMesh(n_v, 1 / 32),
                              QuadratureSpec(l_y=8, dy=0.5), scheme,
@@ -211,6 +213,53 @@ def test_small_solves_meet_tolerance_or_raise(n_x, n_v, height, scheme):
     dense = np.linalg.solve(to_dense(system), system.rhs.ravel())
     scale = max(1.0, np.abs(dense).max())
     assert np.abs(sol.values.ravel() - dense).max() <= 1e-11 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_x=st.integers(4, 12), n_v=st.sampled_from([4, 6, 8, 10, 12, 14, 16]),
+       height=st.floats(-2.0, 2.0), l_y=st.sampled_from([4, 8]),
+       scheme=st.sampled_from(["original", "improved"]))
+def test_lift_matches_the_product_with_the_system(n_x, n_v, height, l_y,
+                                                  scheme):
+    # The full product of the system with the data on the inflow rows is
+    # the oracle for the lift, which forms the rows it touches alone.  At
+    # L_y = 8 the ends of the 10-long device are coupled.
+    system = assemble_system(barrier_profile(height),
+                             SpatialMesh(length=10, n_x=n_x),
+                             VelocityMesh(n_v, 1 / 32),
+                             QuadratureSpec(l_y=l_y, dy=0.5), scheme,
+                             gaussian_bc())
+    rhs = system.rhs
+    want = rhs - _apply_system(system, np.where(system.inflow, rhs, 0.0))
+    which = "A" if scheme == "original" else "B"
+    b = _lift(system, rhs, *_thin_factors(system.coupling, which,
+                                           rows=slice(n_v // 2, None)))
+    assert np.linalg.norm(b - want) <= 1e-15 * np.linalg.norm(want)
+
+
+def test_gmres_runs_on_the_live_weighted_moments(monkeypatch):
+    # Node i's unknowns are its weighted moments W_i R^T (T^-1 y)_i, zero
+    # wherever D_V(x_i, y_j) is: on conv_x.cfg at N_x = 100 about 7 of the
+    # N_y = 64 offsets reach the barrier, so GMRES carries 1,372 numbers
+    # where (coupled nodes) min(N_v, 2 N_y) would be 12,800.
+    sizes = []
+    gmres = bvp_solver._gmres
+
+    def spy(matvec, b, tol):
+        sizes.append(b.size)
+        return gmres(matvec, b, tol)
+
+    monkeypatch.setattr(bvp_solver, "_gmres", spy)
+    cfg = load_config(CONFIG_DIR / "conv_x.cfg")
+    system = assemble_system(cfg.profile(),
+                             SpatialMesh(cfg.device_length, n_x=100),
+                             VelocityMesh(cfg.n_v, cfg.h), cfg.quad(),
+                             "improved", cfg.boundary_conditions())
+    diff = system.coupling.diff
+    coupled = diff.any(axis=-1)
+    sol = solve(system)
+    assert sol.residual <= RESIDUAL_TOL
+    assert sizes == [2 * np.count_nonzero(diff[coupled])] == [1372]
 
 
 @pytest.mark.parametrize("scheme", ["original", "improved"])
@@ -257,25 +306,27 @@ def test_coupled_solve_without_dense_blocks(barrier, quad, scheme):
 
 @pytest.mark.parametrize("which", ["A", "B"])
 @pytest.mark.parametrize("n_v, h", [(12, 1 / 32), (24, 1 / 12)])
-def test_parity_split_factors_match_full_height_qr(barrier, which, n_v, h):
-    # N_y = 8.  At N_v = 12 < 2 N_y the left factor L is wide, of full
-    # row rank; at N_v = 24 it is tall, of full column rank.  The
-    # full-height Householder QR of L is the oracle.  The two parity QRs
-    # need not give its Q and G, only the same projector Q Q^T and the
-    # same G^T G = L^T L, so those are compared.
+def test_parity_split_products_match_full_height_factors(barrier, which,
+                                                         n_v, h):
+    # N_y = 8.  At N_v = 12 < 2 N_y the left factor L is wide; at N_v = 24
+    # it is tall.  The full-height L and R of `_thin_factors` are the
+    # oracle for what the solver builds from their v > 0 rows: H_+ as
+    # their product, H_- from it by the parity signs, and ||L||_2 from
+    # the two column groups.
     kernel = build_theta_kernel(barrier, 1.0, VelocityMesh(n_v, h),
                                 QuadratureSpec(l_y=4, dy=0.5))
     half = n_v // 2
-    full = _thin_factors(kernel, which)[0]
-    q, g, neg = _parity_factors(
-        _thin_factors(kernel, which, rows=slice(half, None))[0])
-    q = np.vstack([(neg * q)[::-1], q])
-    want_q, want_g = np.linalg.qr(full)
-    scale = np.abs(full).max() ** 2
-    assert np.abs(q @ g - full).max() <= 1e-13 * scale ** 0.5
-    assert np.abs(q.T @ q - np.eye(q.shape[1])).max() <= 1e-13
-    assert np.abs(q @ q.T - want_q @ want_q.T).max() <= 1e-13
-    assert np.abs(g.T @ g - want_g.T @ want_g).max() <= 1e-13 * scale
+    left, right = _thin_factors(kernel, which)
+    h_table, norm = _coupling_products(
+        *_thin_factors(kernel, which, rows=slice(half, None)))
+    cols = right.shape[1]
+    want_plus = left[half:].T @ right[half:]
+    want_minus = left[:half].T @ right[:half]
+    scale = np.abs(want_plus).max()
+    assert np.abs(h_table[:, cols:] - want_plus).max() <= 1e-13 * scale
+    assert np.abs(h_table[:, :cols] + want_minus).max() <= 1e-13 * scale
+    want_norm = np.linalg.norm(left, 2)
+    assert abs(norm - want_norm) <= 1e-13 * want_norm
 
 
 @pytest.mark.parametrize("n_x", [4, 5, 63, 64, 65, 400, 1600])

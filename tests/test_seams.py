@@ -69,7 +69,7 @@ def test_package_exports_resolve():
 def test_solves_pass_the_benchmark_residual_check(scheme, n_v):
     # The check rebuilds the interior equations from V_w samples and the
     # stored solution, as the benchmark's worker does, and holds them to
-    # 1e-10 relative; they read 7e-12 to 1.7e-11 here.
+    # 1e-10 relative; they read 1.1e-12 to 3.0e-12 here.
     checks = _load("checks")
     cfg = cli.load_config(ROOT / "configs" / "conv_v.cfg")
     h = 1 / n_v  # R_h = N_v / 2
