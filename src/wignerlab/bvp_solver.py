@@ -45,8 +45,8 @@ from scipy.linalg import lu_factor, lu_solve, solve_triangular
 
 from .errors import ConfigurationError, SolverError
 # `materialize` is not called here; the benchmark's tracer looks it up
-from .operators import (VelocityMesh, WignerKernel, _thin_factors, apply_A,
-                        apply_B, build_theta_kernel, check_memory,
+from .operators import (VelocityMesh, WignerKernel, _parity, _thin_factors,
+                        apply_A, apply_B, build_theta_kernel, check_memory,
                         materialize)
 from .potential import PotentialProfile
 from .wigner_potential import QuadratureSpec
@@ -145,13 +145,14 @@ def assemble_system(profile: PotentialProfile, smesh: SpatialMesh,
     n_x, n_v, n_y = smesh.n_x, vmesh.n_v, quad.n_y
     cols = 2 * n_y  # of the thin factors
     # 16 (N_x+1, N_v) work arrays (a solve's tracemalloc peak, net of the
-    # Krylov basis, the S and C tables and the factors, is 3.0 to 4.0 of
-    # them at N_x = 100, N_v = 8192 and 65536 and at N_x = 400,
-    # N_v = 2048), the sweep's temporary (at most half of one) among them;
-    # every node's differences; two (N_v/2, cols) arrays, the v > 0 rows
-    # of the thin factors; H_+ and H, of cols rows and 3 cols columns
-    # together; six (N_x+1, 4 N_y) projected arrays; and a Krylov basis of
-    # reduced vectors, at most cols live entries per node
+    # Krylov basis, the S and C tables and solve's factors, is 3.0 to 4.0
+    # of them at N_x = 100, N_v = 8192 and 65536 and at N_x = 400,
+    # N_v = 2048), the sweep's temporary (at most half of one) and the
+    # residual check's own factors among them; every node's differences;
+    # two (N_v/2, cols) arrays, the v > 0 rows of the thin factors; H_+
+    # and H, of cols rows and 3 cols columns together; six (N_x+1, 4 N_y)
+    # projected arrays; and a Krylov basis of reduced vectors, at most
+    # cols live entries per node
     check_memory(n_v, n_y, 8 * ((n_x + 1) * (16 * n_v + n_y + 6 * 4 * n_y)
                                 + 2 * (n_v // 2) * cols + 3 * cols * cols
                                 + (MAX_ITERATIONS + 1) * (n_x + 1) * cols))
@@ -241,13 +242,13 @@ def _lift(system: BlockSystem, rhs: np.ndarray, left: np.ndarray,
     d sits on node 0's v > 0 half and node N_x's v < 0 half alone.  The
     stencil moves it into rows 1 and 2 of its sign, and each end's
     coupling L W R^T into the other half of its row; the v < 0 rows of L
-    and R are J L_+ and J R_+ with their odd columns negated.  Every
+    and R are J L_+ and J R_+ times the signs of `operators._parity`.  Every
     other row of b, the inflow rows among them, is zero, so this costs
     O(N_v N_y) where the product with the system costs a grid pass.
     """
     n_x, half = system.smesh.n_x, system.vmesh.n_v // 2
     n_y = right.shape[1] // 2
-    parity = np.repeat([1.0, -1.0], n_y)  # of L's and R's columns
+    parity = _parity(n_y, n_y)  # of L's and R's columns
     w_0, w_n = np.tile(system.coupling.weights[[0, n_x]], 2)
     d_0, d_n = rhs[0, half:], rhs[n_x, :half]
     b = np.zeros_like(rhs)
@@ -267,7 +268,7 @@ def _coupling_products(left: np.ndarray,
     The mesh is symmetric, v_{-n-1} = -v_n, so with J reversing the v > 0
     half, the v < 0 rows of L and of R are J L_+ diag(I, -I) and
     J R_+ diag(I, -I): the first N_y columns of each are even in v and the
-    rest odd (`operators.operator_norm`).  So H_- is H_+ with its
+    rest odd (`operators._parity`).  So H_- is H_+ with its
     off-diagonal parity blocks negated, and L = [J L_1+, -J L_2+; L_1+,
     L_2+], whose two column groups are orthogonal, has
     ||L||_2 = sqrt(2) max_g ||L_g+||_2 (Cantoni & Butler, Linear Algebra
@@ -275,7 +276,7 @@ def _coupling_products(left: np.ndarray,
     eigenvalue of the Gram matrix L_g+^T L_g+, of order N_y.
     """
     n_y = right.shape[1] // 2
-    parity = np.repeat([1.0, -1.0], n_y)
+    parity = _parity(n_y, n_y)
     h = left.T @ right
     gram = max(np.linalg.eigvalsh(left[:, g].T @ left[:, g])[-1]
                for g in (slice(None, n_y), slice(n_y, None)))
@@ -397,9 +398,9 @@ def solve(system: BlockSystem) -> WignerSolution:
     n_x, half = system.smesh.n_x, system.vmesh.n_v // 2
     kernel = system.coupling
     which = "A" if system.scheme == "original" else "B"
-    left, right = _thin_factors(kernel, which, rows=slice(half, None))
+    left, right = _thin_factors(kernel, which)
     n_y = right.shape[1] // 2
-    parity = np.repeat([1.0, -1.0], n_y)  # of L's and R's columns
+    parity = _parity(n_y, n_y)  # of L's and R's columns
     weights = np.tile(kernel.weights, 2)  # the diagonals of the W_i
     coupled = np.flatnonzero(weights.any(axis=-1))
     weights = weights[coupled]

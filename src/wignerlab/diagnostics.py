@@ -24,6 +24,7 @@ import numpy as np
 
 from .bvp_solver import WignerSolution
 from .errors import ContractError
+from .operators import _parity
 
 __all__ = ["l2_error", "convergence_order", "constraint_residual",
            "ExperimentReport"]
@@ -111,7 +112,8 @@ def constraint_residual(sol: WignerSolution) -> float:
 
     with V_w(x_i, v_n) = (S w_i)_n from the sine table S and the weights
     w_i of `sol.coupling`, the factors the solve used, and including the
-    boundary nodes in the maximum.
+    boundary nodes in the maximum.  The kernel holds S on v > 0; S is odd
+    in v, so its v < 0 rows follow by `operators._parity`.
     The h = dv/(2*pi) scaling expresses the moment in the units of the
     assembled operator rows, making values comparable across refinement
     levels; for a convergent scheme family S decays linearly in the mesh
@@ -123,10 +125,11 @@ def constraint_residual(sol: WignerSolution) -> float:
         raise ContractError("the coupling does not match the solution's "
                             "velocity mesh and N_x + 1 nodes")
     sin, _ = kernel.tables
-    v_w = kernel.weights @ sin.T
-    dv = sol.vmesh.dv
-    return sol.vmesh.h * max(abs(float(np.dot(row, vw_nodes)) * dv)
-                             for row, vw_nodes in zip(sol.values, v_w))
+    w = kernel.weights
+    v_w = np.hstack([((_parity(0, kernel.quad.n_y) * w) @ sin.T)[:, ::-1],
+                     w @ sin.T])
+    return sol.vmesh.h * max(abs(float(np.dot(row, row_w)) * sol.vmesh.dv)
+                             for row, row_w in zip(sol.values, v_w))
 
 
 @dataclass

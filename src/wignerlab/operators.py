@@ -27,19 +27,20 @@ most y, so B's left factor is bounded uniformly in the velocity mesh;
 A's, with cos(v y)/v, is not.  Products and norms go through the factors,
 O(N_v N_y) per node, so nothing of size N_v^2 is formed.  The mesh is
 symmetric, v_{-n-1} = -v_n, so S is odd and C is even: theta is
-skew-centrosymmetric and A and B are centrosymmetric.  An even/odd change
-of basis splits each into two blocks of order at most N_y (Cantoni &
-Butler, Linear Algebra Appl. 13, 1976), so `operator_norm` forms only the
-v > 0 rows of the factors.
+skew-centrosymmetric and A and B are centrosymmetric.  A kernel therefore
+holds S and C on the v > 0 velocities only, and every product reads the
+v < 0 rows of a factor by one rule (`_parity`): row v_{-n-1} is row v_n
+with its odd columns negated.  An even/odd change of basis splits each
+operator into two blocks of order at most N_y (Cantoni & Butler, Linear
+Algebra Appl. 13, 1976), which `operator_norm` factors.
 
 A kernel may stack several nodes' D_V along a leading axis, sampled in one
 call; the operators then act on each node's row of f with that node's
-matrix, which is how the solver forms its right-hand side and checks its
-residual on the whole device at once; its GMRES iteration uses the
-node-independent thin factors of `_thin_factors` instead.  `operator_norm`
-takes a one-node kernel.  `materialize` forms the dense matrices from the
-sampled `symbol` and `shift`; the tests hold the factored operators to
-it.
+matrix, which is how the solver checks its residual on the whole device at
+once; its right-hand side and GMRES iteration use the node-independent
+thin factors of `_thin_factors` directly.  `operator_norm` takes a
+one-node kernel.  `materialize` forms the dense matrices from the sampled
+`symbol` and `shift`; the tests hold the factored operators to it.
 """
 
 from __future__ import annotations
@@ -97,7 +98,8 @@ class WignerKernel:
     axis.  `symbol` and `shift` are V_w sampled from it by `sine_sum`,
     bitwise as `wigner_potential` gives them: symbol[..., k + N_v - 1] =
     V_w(x, k*dv) for |k| < N_v and shift[..., m] = V_w(x, -v_m).  `tables`
-    are S and C, shape (N_v, N_y), computed once per kernel.
+    are the v > 0 rows of S and C, shape (N_v/2, N_y), computed once per
+    kernel; their v < 0 rows follow by `_parity`.
     """
 
     diff: np.ndarray
@@ -115,7 +117,8 @@ class WignerKernel:
 
     @cached_property
     def tables(self) -> tuple[np.ndarray, np.ndarray]:
-        phase = np.multiply.outer(self.mesh.nodes, self.quad.offsets)
+        v = self.mesh.nodes[self.mesh.n_v // 2:]
+        phase = np.multiply.outer(v, self.quad.offsets)
         return np.sin(phase), np.cos(phase)
 
     @property
@@ -124,9 +127,9 @@ class WignerKernel:
 
 
 def check_memory(n_v: int, n_y: int, extra: int = 0) -> None:
-    """Refuse a kernel whose quadrature nodes, differences, S and C, plus
-    `extra` bytes, would not fit in physical memory."""
-    need = 8 * 2 * n_y * (n_v + 1) + extra
+    """Refuse a kernel whose quadrature nodes, differences, the N_v/2 rows
+    of S and C, plus `extra` bytes, would not fit in physical memory."""
+    need = 8 * n_y * (n_v + 2) + extra
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ResourceError(
@@ -157,18 +160,28 @@ def _check_length(kernel: WignerKernel, f: np.ndarray) -> np.ndarray:
     return f
 
 
+def _parity(n_even: int, n_odd: int) -> np.ndarray:
+    """The mirror rule of a factor whose first n_even columns are even in v
+    and the other n_odd odd: the mesh is symmetric, v_{-n-1} = -v_n, so its
+    row v_{-n-1} is row v_n times these signs.  R = [C, S] and the L of A
+    and B, which divide by the odd v, take (N_y, N_y), theta's L their
+    negative, and S alone (0, N_y)."""
+    return np.repeat([1.0, -1.0], [n_even, n_odd])
+
+
 def _apply(kernel: WignerKernel, f, which: str) -> np.ndarray:
-    """theta, A or B of each node of `kernel` applied to its row of f."""
+    """theta, A or B of each node of `kernel` applied to its row of f, as
+    L diag(w, w) R^T f through the v > 0 rows of the thin factors."""
     f = _check_length(kernel, f)
-    sin, cos = kernel.tables
-    w = kernel.weights
-    ws = w * (f @ sin)
-    out = (w * (f @ cos)) @ sin.T - ws @ cos.T
-    if which == "B":
-        out += ws.sum(axis=-1, keepdims=True)
-    out *= 2 * np.pi * kernel.mesh.h
-    if which != "theta":
-        out /= kernel.mesh.nodes
+    left, right = _thin_factors(kernel, which)
+    half, signs = len(right), _parity(kernel.quad.n_y, kernel.quad.n_y)
+    moments = np.tile(kernel.weights, 2) * (
+        f[..., half:] @ right + signs * (f[..., :half] @ right[::-1]))
+    out = np.empty(f.shape)
+    np.matmul(moments, left.T, out=out[..., half:])
+    # theta's L, [S W, -C W], is not divided by the odd v: the reverse parity
+    np.matmul((-signs if which == "theta" else signs) * moments,
+              left[::-1].T, out=out[..., :half])
     return out
 
 
@@ -208,29 +221,27 @@ def materialize(kernel: WignerKernel, which: str) -> np.ndarray:
     raise ContractError(f"unknown operator {which!r}")
 
 
-def _thin_factors(kernel: WignerKernel, which: str, weights=1.0,
-                  rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+def _thin_factors(kernel: WignerKernel, which: str,
+                  weights=1.0) -> tuple[np.ndarray, np.ndarray]:
     """Thin factors L and R of theta, A or B, the operator at a node being
     L R^T with R = [C, S]: for theta, L = 2*pi*h [S W, -C W]; A divides row
     n of L by v_n; B is A with 1 - C in place of -C, bounded because
     |sin(v y)| and |1 - cos(v y)| are at most |v| y.
 
-    Returns the `rows` (velocities) of L with `weights` for the diagonal of
-    W, and of R.  With weights 1 the pair is the same at every node: the
-    operator is then L diag(w, w) R^T, its nodes' weights moved to the
-    right.
+    Returns the v > 0 rows of L, with `weights` for the diagonal of W, and
+    of R; `_parity` gives the v < 0 rows.  With weights 1 the pair is the
+    same at every node: the operator is then L diag(w, w) R^T, its nodes'
+    weights moved to the right.
     """
     if which not in ("theta", "A", "B"):
         raise ContractError(f"unknown operator {which!r}")
-    sin, cos = (table[rows] for table in kernel.tables)
-    v = kernel.mesh.nodes[rows]
+    sin, cos = kernel.tables
     left = np.hstack([sin * weights,
                       (1 - cos if which == "B" else -cos) * weights])
-    right = np.hstack([cos, sin])
     left *= 2 * np.pi * kernel.mesh.h
     if which != "theta":
-        left /= v[:, None]
-    return left, right
+        left /= kernel.mesh.nodes[kernel.mesh.n_v // 2:, None]
+    return left, np.hstack([cos, sin])
 
 
 def operator_norm(kernel: WignerKernel, which: str) -> float:
@@ -261,13 +272,11 @@ def operator_norm(kernel: WignerKernel, which: str) -> float:
             f"operator_norm takes a one-node kernel, got nodes of shape "
             f"{kernel.diff.shape[:-1]}")
     n_v, n_y = kernel.mesh.n_v, kernel.quad.n_y
-    half = n_v // 2
-    # the v > 0 rows of L and R, of 2 N_y columns, as much again for the
+    # the N_v/2 rows of L and R, of 2 N_y columns, as much again for the
     # copies made while they are formed and factored, and the triangles,
     # their product and its copy, of order at most N_y
-    check_memory(n_v, n_y, 8 * (3 * half * 2 * n_y + 4 * n_y ** 2))
-    left, right = _thin_factors(kernel, which, kernel.weights,
-                                slice(half, None))
+    check_memory(n_v, n_y, 8 * (3 * n_v * n_y + 4 * n_y ** 2))
+    left, right = _thin_factors(kernel, which, kernel.weights)
     groups = (slice(None, n_y), slice(n_y, None))
     return 2 * max(float(np.linalg.norm(
         np.linalg.qr(left[:, g], mode="r")

@@ -18,6 +18,8 @@ from wignerlab.operators import VelocityMesh, _thin_factors, build_theta_kernel
 from wignerlab.potential import PotentialProfile, barrier_profile
 from wignerlab.wigner_potential import QuadratureSpec
 
+from test_operators import full_height_factors
+
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -232,8 +234,7 @@ def test_lift_matches_the_product_with_the_system(n_x, n_v, height, l_y,
     rhs = system.rhs
     want = rhs - _apply_system(system, np.where(system.inflow, rhs, 0.0))
     which = "A" if scheme == "original" else "B"
-    b = _lift(system, rhs, *_thin_factors(system.coupling, which,
-                                           rows=slice(n_v // 2, None)))
+    b = _lift(system, rhs, *_thin_factors(system.coupling, which))
     assert np.linalg.norm(b - want) <= 1e-15 * np.linalg.norm(want)
 
 
@@ -309,16 +310,15 @@ def test_coupled_solve_without_dense_blocks(barrier, quad, scheme):
 def test_parity_split_products_match_full_height_factors(barrier, which,
                                                          n_v, h):
     # N_y = 8.  At N_v = 12 < 2 N_y the left factor L is wide; at N_v = 24
-    # it is tall.  The full-height L and R of `_thin_factors` are the
-    # oracle for what the solver builds from their v > 0 rows: H_+ as
-    # their product, H_- from it by the parity signs, and ||L||_2 from
-    # the two column groups.
+    # it is tall.  L and R built on every velocity from the full-height
+    # tables are the oracle for what the solver builds from their v > 0
+    # rows: H_+ as their product, H_- from it by the parity signs, and
+    # ||L||_2 from the two column groups.
     kernel = build_theta_kernel(barrier, 1.0, VelocityMesh(n_v, h),
                                 QuadratureSpec(l_y=4, dy=0.5))
     half = n_v // 2
-    left, right = _thin_factors(kernel, which)
-    h_table, norm = _coupling_products(
-        *_thin_factors(kernel, which, rows=slice(half, None)))
+    left, right = full_height_factors(kernel, which)
+    h_table, norm = _coupling_products(*_thin_factors(kernel, which))
     cols = right.shape[1]
     want_plus = left[half:].T @ right[half:]
     want_minus = left[:half].T @ right[:half]

@@ -8,9 +8,10 @@ import pytest
 from wignerlab.bvp_solver import SpatialMesh
 from wignerlab.cli import load_config
 from wignerlab.errors import ConfigurationError, ContractError, ResourceError
-from wignerlab.operators import (VelocityMesh, _thin_factors, apply_A,
-                                 apply_B, apply_theta, build_theta_kernel,
-                                 materialize, operator_norm)
+from wignerlab.operators import (VelocityMesh, _parity, _thin_factors,
+                                 apply_A, apply_B, apply_theta,
+                                 build_theta_kernel, materialize,
+                                 operator_norm)
 from wignerlab.potential import PotentialProfile, barrier_profile
 from wignerlab.wigner_potential import QuadratureSpec, wigner_potential
 
@@ -29,6 +30,23 @@ def quad():
 
 def kernel_at(barrier, quad, x=10.0, n_v=8, h=1 / 16):
     return build_theta_kernel(barrier, x, VelocityMesh(n_v, h), quad)
+
+
+def full_height_tables(kernel):
+    # S and C on every velocity, independent of the kernel's v > 0 tables
+    phase = np.multiply.outer(kernel.mesh.nodes, kernel.quad.offsets)
+    return np.sin(phase), np.cos(phase)
+
+
+def full_height_factors(kernel, which, weights=1.0):
+    # L and R of `_thin_factors` on every velocity, from the full tables
+    sin, cos = full_height_tables(kernel)
+    left = np.hstack([sin * weights,
+                      (1 - cos if which == "B" else -cos) * weights])
+    left *= 2 * np.pi * kernel.mesh.h
+    if which != "theta":
+        left /= kernel.mesh.nodes[:, None]
+    return left, np.hstack([cos, sin])
 
 
 class TestVelocityMesh:
@@ -110,10 +128,34 @@ def test_shift_is_minus_sine_table_times_weights(n_v):
     nodes = SpatialMesh(cfg.device_length, cfg.n_x).nodes
     kernel = build_theta_kernel(cfg.profile(), nodes,
                                 VelocityMesh(n_v, 1 / n_v), cfg.quad())
-    sin, _ = kernel.tables
+    sin, _ = kernel.tables  # the v > 0 rows; S is odd
+    sin = np.vstack([-sin[::-1], sin])
     bound = 1e-14 * np.abs(kernel.shift).max()
     assert bound > 0
     assert np.abs(kernel.shift + kernel.weights @ sin.T).max() <= bound
+
+
+@pytest.mark.parametrize("n_v", [2, 64, 4096, 65536])
+@pytest.mark.parametrize("l_y, dy", [(31, 0.5), (31, 1.0), (64, 1.0)])
+def test_half_tables_mirror_the_full_tables_bitwise(n_v, l_y, dy):
+    # The kernel holds S and C on v > 0 alone, and every product reads
+    # their v < 0 rows by `_parity`.  That reproduces the full tables to
+    # the bit only if the mesh is symmetric, S odd and C even, to the last
+    # bit.  The committed configs' quadratures.
+    kernel = build_theta_kernel(PotentialProfile(segments=()), 0.0,
+                                VelocityMesh(n_v, 1 / max(n_v, 256)),
+                                QuadratureSpec(l_y=l_y, dy=dy))
+    half, n_y = n_v // 2, kernel.quad.n_y
+    v = kernel.mesh.nodes
+    np.testing.assert_array_equal(v[:half], -v[half:][::-1])
+    sin, cos = full_height_tables(kernel)
+    np.testing.assert_array_equal(kernel.tables[0], sin[half:])
+    np.testing.assert_array_equal(kernel.tables[1], cos[half:])
+    np.testing.assert_array_equal(sin[:half], -sin[half:][::-1])
+    np.testing.assert_array_equal(cos[:half], cos[half:][::-1])
+    right = np.hstack([cos, sin])  # R = [C, S], mirrored by `_parity`
+    np.testing.assert_array_equal(right[:half],
+                                  right[half:][::-1] * _parity(n_y, n_y))
 
 
 def test_zero_potential_kernel(quad):
@@ -157,7 +199,8 @@ def test_vectorized_sampling_matches_one_node_kernels(barrier, quad):
     assert np.abs(stacked.shift).max() > 0
 
 
-@pytest.mark.parametrize("which,apply", [("A", apply_A), ("B", apply_B)])
+@pytest.mark.parametrize("which,apply", [("theta", apply_theta),
+                                         ("A", apply_A), ("B", apply_B)])
 def test_stacked_kernel_applies_each_node(barrier, quad, which, apply):
     mesh = VelocityMesh(16, 1 / 64)
     nodes = np.array([-3.0, -0.7, 0.0, 1.2, 10.0])
@@ -229,8 +272,8 @@ def full_height_norm(kernel, which):
     # triangles of the whole thin factors, of order at most 2 N_y + 1.  B
     # is built in its sampled form, A's factors with the column 2 pi h / v
     # paired with -a, so it checks the factored 1 - C independently.
-    left, right = _thin_factors(kernel, "A" if which == "B" else which,
-                                kernel.weights)
+    left, right = full_height_factors(
+        kernel, "A" if which == "B" else which, kernel.weights)
     if which == "B":
         scale = 2 * np.pi * kernel.mesh.h / kernel.mesh.nodes
         left = np.column_stack([left, scale])
@@ -283,10 +326,10 @@ def test_norm_of_stacked_kernel_rejected(barrier, quad, n_nodes):
 
 
 def test_norm_memory_guard_counts_the_factors(monkeypatch):
-    # 128 MiB of physical memory: norms.cfg at R_h = 32768 (N_v = 65536)
-    # holds its 62 MiB of S and C tables, but not the 95 MiB of half-height
-    # factors and QR copies on top
-    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2 ** 15}
+    # 64 MiB of physical memory: norms.cfg at R_h = 32768 (N_v = 65536)
+    # holds its 31 MiB of S and C tables (the v > 0 rows), but not the
+    # 93 MiB of half-height factors and QR copies on top
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2 ** 14}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     cfg = load_config(CONFIG_DIR / "norms.cfg")
     kernel = build_theta_kernel(cfg.profile(), cfg.norm_position,
