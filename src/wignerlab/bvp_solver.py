@@ -145,10 +145,10 @@ def assemble_system(profile: PotentialProfile, smesh: SpatialMesh,
     n_x, n_v, n_y = smesh.n_x, vmesh.n_v, quad.n_y
     cols = 2 * n_y  # of the thin factors
     # 16 (N_x+1, N_v) work arrays (a solve's tracemalloc peak, net of the
-    # Krylov basis, the S and C tables and solve's factors, is 3.0 to 4.0
-    # of them at N_x = 100, N_v = 8192 and 65536 and at N_x = 400,
-    # N_v = 2048), the sweep's temporary (at most half of one) and the
-    # residual check's own factors among them; every node's differences;
+    # Krylov basis and the S and C tables, is 3.0 to 4.0 of them at
+    # N_x = 100, N_v = 8192 and 65536 and at N_x = 400, N_v = 2048), the
+    # sweep's temporary (at most half of one) and the residual check's own
+    # factors among them; every node's differences;
     # two (N_v/2, cols) arrays, the v > 0 rows of the thin factors; H_+
     # and H, of cols rows and 3 cols columns together; six (N_x+1, 4 N_y)
     # projected arrays; and a Krylov basis of reduced vectors, at most
@@ -444,6 +444,7 @@ def solve(system: BlockSystem) -> WignerSolution:
             u = full(u)  # y = b + P L u
             b[coupled, :half] += ((parity * u) @ left.T)[:, ::-1]
             b[coupled, half:] += u @ left.T
+            del left, right  # the residual check forms its own pair
             b[0, half:] = b[n_x, :half] = 0.0  # P; b is zero there
             _sweep(system.stencil, b[::-1, :half], -1.0)
             _sweep(system.stencil, b[:, half:])

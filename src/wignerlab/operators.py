@@ -32,7 +32,9 @@ holds S and C on the v > 0 velocities only, and every product reads the
 v < 0 rows of a factor by one rule (`_parity`): row v_{-n-1} is row v_n
 with its odd columns negated.  An even/odd change of basis splits each
 operator into two blocks of order at most N_y (Cantoni & Butler, Linear
-Algebra Appl. 13, 1976), which `operator_norm` factors.
+Algebra Appl. 13, 1976), which `operator_norm` factors.  The factors are
+shared per kernel: R is the same for theta, A and B, and A's and B's first
+groups of L are one block, so the three norms at a node take seven QRs.
 
 A kernel may stack several nodes' D_V along a leading axis, sampled in one
 call; the operators then act on each node's row of f with that node's
@@ -120,6 +122,13 @@ class WignerKernel:
         v = self.mesh.nodes[self.mesh.n_v // 2:]
         phase = np.multiply.outer(v, self.quad.offsets)
         return np.sin(phase), np.cos(phase)
+
+    @cached_property
+    def _norm_factors(self) -> dict:
+        """What `operator_norm` has computed at this node: the QR triangles
+        of R's column groups, keyed 0 (C) and 1 (S), and the 2-norms of the
+        group products, keyed (operator, group)."""
+        return {}
 
     @property
     def weights(self) -> np.ndarray:  # the diagonal of W
@@ -221,6 +230,18 @@ def materialize(kernel: WignerKernel, which: str) -> np.ndarray:
     raise ContractError(f"unknown operator {which!r}")
 
 
+def _left_group(kernel: WignerKernel, which: str, group: int,
+                weights=1.0) -> np.ndarray:
+    """The v > 0 rows of column group 0 or 1 of theta's, A's or B's L (see
+    `_thin_factors`), with `weights` for the diagonal of W."""
+    sin, cos = kernel.tables
+    left = (sin if group == 0 else 1 - cos if which == "B" else -cos) * weights
+    left *= 2 * np.pi * kernel.mesh.h
+    if which != "theta":
+        left /= kernel.mesh.nodes[kernel.mesh.n_v // 2:, None]
+    return left
+
+
 def _thin_factors(kernel: WignerKernel, which: str,
                   weights=1.0) -> tuple[np.ndarray, np.ndarray]:
     """Thin factors L and R of theta, A or B, the operator at a node being
@@ -236,12 +257,8 @@ def _thin_factors(kernel: WignerKernel, which: str,
     if which not in ("theta", "A", "B"):
         raise ContractError(f"unknown operator {which!r}")
     sin, cos = kernel.tables
-    left = np.hstack([sin * weights,
-                      (1 - cos if which == "B" else -cos) * weights])
-    left *= 2 * np.pi * kernel.mesh.h
-    if which != "theta":
-        left /= kernel.mesh.nodes[kernel.mesh.n_v // 2:, None]
-    return left, np.hstack([cos, sin])
+    left = [_left_group(kernel, which, g, weights) for g in (0, 1)]
+    return np.hstack(left), np.hstack([cos, sin])
 
 
 def operator_norm(kernel: WignerKernel, which: str) -> float:
@@ -261,23 +278,41 @@ def operator_norm(kernel: WignerKernel, which: str) -> float:
         |op|_2 = 2 max_g |T_L,g T_R,g^T|_2,
 
     with T_L,g and T_R,g the QR triangles of the v > 0 rows of group g of L
-    and R, each of order at most N_y.  Only the v > 0 rows are formed.
+    and R, each of order at most N_y.  Only the v > 0 rows are formed, one
+    group at a time.
+
+    The factors are shared per kernel: R's two triangles serve all three
+    operators, and A's and B's first groups are one block, 2*pi*h S W / v,
+    so theta, A and B together take seven QRs, not twelve.  The kernel
+    keeps R's triangles and each group's norm as they are computed
+    (`WignerKernel._norm_factors`); every operator's norm is the same
+    whichever is asked first.
 
     Under mesh refinement (h -> 0 with the window fixed) the three norms
     behave differently: |theta|_2 <= 2 max|V|; |B|_2 stays uniformly
     bounded; |A|_2 grows like h^(-1/2), i.e. by sqrt(2) per halving of h.
     """
+    if which not in ("theta", "A", "B"):
+        raise ContractError(f"unknown operator {which!r}")
     if kernel.diff.ndim != 1:
         raise ContractError(
             f"operator_norm takes a one-node kernel, got nodes of shape "
             f"{kernel.diff.shape[:-1]}")
     n_v, n_y = kernel.mesh.n_v, kernel.quad.n_y
-    # the N_v/2 rows of L and R, of 2 N_y columns, as much again for the
-    # copies made while they are formed and factored, and the triangles,
+    # three arrays of N_v/2 rows and N_y columns: a group of L (with the
+    # temporary it is formed from), QR's copy of it or of R's group, and
+    # LAPACK's column-major copy; R's two cached triangles, L's triangle,
     # their product and its copy, of order at most N_y
-    check_memory(n_v, n_y, 8 * (3 * n_v * n_y + 4 * n_y ** 2))
-    left, right = _thin_factors(kernel, which, kernel.weights)
-    groups = (slice(None, n_y), slice(n_y, None))
-    return 2 * max(float(np.linalg.norm(
-        np.linalg.qr(left[:, g], mode="r")
-        @ np.linalg.qr(right[:, g], mode="r").T, 2)) for g in groups)
+    check_memory(n_v, n_y, 8 * (3 * (n_v // 2) * n_y + 5 * n_y ** 2))
+    cache = kernel._norm_factors
+    # A's and B's first groups are one block: their norms are one entry
+    keys = [("A" if which == "B" and g == 0 else which, g) for g in (0, 1)]
+    for key in keys:
+        if key not in cache:
+            op, g = key
+            left = _left_group(kernel, op, g, kernel.weights)
+            if g not in cache:  # R's group g, C or S, the same for all three
+                cache[g] = np.linalg.qr(kernel.tables[1 - g], mode="r")
+            cache[key] = float(np.linalg.norm(
+                np.linalg.qr(left, mode="r") @ cache[g].T, 2))
+    return 2 * max(cache[key] for key in keys)

@@ -1,3 +1,4 @@
+import itertools
 import os
 import tracemalloc
 from pathlib import Path
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from wignerlab.bvp_solver import SpatialMesh
-from wignerlab.cli import load_config
+from wignerlab.cli import load_config, run_norms
 from wignerlab.errors import ConfigurationError, ContractError, ResourceError
 from wignerlab.operators import (VelocityMesh, _parity, _thin_factors,
                                  apply_A, apply_B, apply_theta,
@@ -328,7 +329,7 @@ def test_norm_of_stacked_kernel_rejected(barrier, quad, n_nodes):
 def test_norm_memory_guard_counts_the_factors(monkeypatch):
     # 64 MiB of physical memory: norms.cfg at R_h = 32768 (N_v = 65536)
     # holds its 31 MiB of S and C tables (the v > 0 rows), but not the
-    # 93 MiB of half-height factors and QR copies on top
+    # 47 MiB of a half-height factor group and its QR copies on top
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2 ** 14}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     cfg = load_config(CONFIG_DIR / "norms.cfg")
@@ -342,6 +343,52 @@ def test_norm_memory_guard_counts_the_factors(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
+
+
+
+def test_norms_level_factors_seven_blocks(monkeypatch, tmp_path):
+    # theta, A and B share R's triangles of C and S, and A's and B's first
+    # left groups are one block: five left blocks and two right ones
+    calls = []
+    qr = np.linalg.qr
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    cfg = load_config(CONFIG_DIR / "norms.cfg")
+    run_norms(cfg, tmp_path)
+    assert len(calls) == 7 * len(cfg.levels)
+
+
+@pytest.mark.parametrize("r_h", [32, 256])
+def test_norm_independent_of_the_order_asked(r_h):
+    # each norm is bitwise the same whether asked first, last or alone on
+    # a fresh kernel, and bitwise the 2 max_g |T_L,g T_R,g^T|_2 of the
+    # groups of the whole thin factors
+    cfg = load_config(CONFIG_DIR / "norms.cfg")
+    mesh = VelocityMesh(2 * r_h, 1 / (2 * r_h))
+
+    def fresh():
+        return build_theta_kernel(cfg.profile(), cfg.norm_position, mesh,
+                                  cfg.quad())
+
+    n_y = cfg.quad().n_y
+    for which in ("theta", "A", "B"):
+        kernel = fresh()
+        left, right = _thin_factors(kernel, which, kernel.weights)
+        want = 2 * max(float(np.linalg.norm(
+            np.linalg.qr(left[:, g], mode="r")
+            @ np.linalg.qr(right[:, g], mode="r").T, 2))
+            for g in (slice(None, n_y), slice(n_y, None)))
+        assert want > 0
+        assert operator_norm(fresh(), which) == want
+        for order in itertools.permutations(("theta", "A", "B")):
+            kernel = fresh()
+            norms = {w: operator_norm(kernel, w) for w in order}
+            assert norms[which] == want
+            assert operator_norm(kernel, which) == want  # from the cache
 
 
 def test_norm_asymptotics_at_scale():
