@@ -118,19 +118,20 @@ class BlockSystem:
     coupling: every node's kernel, its differences stacked along the leading
           axis; row i of the system subtracts A or B of that node's kernel
           applied to f(x_i, .).
-    inflow: the inflow rows, shape (N_x+1, N_v); they are identity rows, so
-          the coupling is left out of them.
     stencil: the upwind d/dx for v > 0, identity on the inflow row, as the
           three bands of a lower-triangular matrix a of order N_x+1: row k
           holds the k-th subdiagonal, a[j + k, j] in column j.  `_sweep`
           reads its ratio a_2/a_0 = 1/3 from here.
-    rhs:  right-hand side, shape (N_x+1, N_v).
+    data: the inflow data, shape (2, N_v/2): row 0 is f_left on v > 0 at
+          x = -l/2, row 1 f_right on v < 0 at x = +l/2.  They sit on the
+          inflow rows, the identity rows [0, N_v/2:] and [N_x, :N_v/2] of
+          the grid, from which the coupling is left out; the right-hand
+          side is zero on every other row.
     """
 
     coupling: WignerKernel
-    inflow: np.ndarray
     stencil: np.ndarray
-    rhs: np.ndarray
+    data: np.ndarray
     smesh: SpatialMesh
     vmesh: VelocityMesh
     scheme: str
@@ -144,22 +145,20 @@ def assemble_system(profile: PotentialProfile, smesh: SpatialMesh,
         raise ConfigurationError(f"unknown scheme {scheme!r}")
     n_x, n_v, n_y = smesh.n_x, vmesh.n_v, quad.n_y
     cols = 2 * n_y  # of the thin factors
-    # 16 (N_x+1, N_v) work arrays (a solve's tracemalloc peak, net of the
-    # Krylov basis and the S and C tables, is 3.0 to 4.0 of them at
-    # N_x = 100, N_v = 8192 and 65536 and at N_x = 400, N_v = 2048), the
-    # sweep's temporary (at most half of one) and the residual check's own
-    # factors among them; every node's differences;
+    # 6 (N_x+1, N_v) work arrays, 1.8 times a solve's tracemalloc peak net
+    # of the Krylov basis and the S and C tables (3.2 to 3.4 of them at
+    # N_x = 100, N_v = 8192 to 2^19 and at N_x = 400, N_v = 2048): the
+    # solution, and the residual check's product, its band products and
+    # their temporaries, and its own thin factors; every node's differences;
     # two (N_v/2, cols) arrays, the v > 0 rows of the thin factors; H_+
     # and H, of cols rows and 3 cols columns together; six (N_x+1, 4 N_y)
     # projected arrays; and a Krylov basis of reduced vectors, at most
     # cols live entries per node
-    check_memory(n_v, n_y, 8 * ((n_x + 1) * (16 * n_v + n_y + 6 * 4 * n_y)
+    check_memory(n_v, n_y, 8 * ((n_x + 1) * (6 * n_v + n_y + 6 * 4 * n_y)
                                 + 2 * (n_v // 2) * cols + 3 * cols * cols
                                 + (MAX_ITERATIONS + 1) * (n_x + 1) * cols))
     dx = smesh.dx
-    v = vmesh.nodes
-    pos = v > 0
-    neg = ~pos
+    v, half = vmesh.nodes, n_v // 2  # v > 0 on [half:]
 
     stencil = np.zeros((3, n_x + 1))
     stencil[0] = 3 / (2 * dx)
@@ -167,14 +166,10 @@ def assemble_system(profile: PotentialProfile, smesh: SpatialMesh,
     stencil[2, :-2] = 1 / (2 * dx)
     stencil[0, :2] = 1.0, 1 / dx  # inflow identity; first-order row 1
     stencil[1, 0] = -1 / dx
-    rhs = np.zeros((n_x + 1, n_v))
-    rhs[0, pos] = bc.f_left(v[pos])
-    rhs[n_x, neg] = bc.f_right(v[neg])
-    inflow = np.zeros((n_x + 1, n_v), dtype=bool)
-    inflow[0, pos] = inflow[n_x, neg] = True
+    data = np.stack([bc.f_left(v[half:]), bc.f_right(v[:half])])
     coupling = build_theta_kernel(profile, smesh.nodes, vmesh, quad)
-    return BlockSystem(coupling=coupling, inflow=inflow, stencil=stencil,
-                       rhs=rhs, smesh=smesh, vmesh=vmesh, scheme=scheme)
+    return BlockSystem(coupling=coupling, stencil=stencil, data=data,
+                       smesh=smesh, vmesh=vmesh, scheme=scheme)
 
 
 def _band_product(bands: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -190,12 +185,15 @@ def _band_product(bands: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _apply_system(system: BlockSystem, values: np.ndarray) -> np.ndarray:
     """Multiply the block-banded matrix by a grid function.
 
-    The v < 0 stencil is T_- = -D J T_+ J, with J reversing x and D
-    negating the inflow row, the last.
+    The coupling is left out of the inflow rows.  The v < 0 stencil is
+    T_- = -D J T_+ J, with J reversing x and D negating the inflow row, the
+    last.
     """
     apply_op = apply_A if system.scheme == "original" else apply_B
-    half = system.vmesh.n_v // 2
-    out = -np.where(system.inflow, 0.0, apply_op(system.coupling, values))
+    n_x, half = system.smesh.n_x, system.vmesh.n_v // 2
+    out = apply_op(system.coupling, values)
+    out[0, half:] = out[n_x, :half] = 0.0
+    np.negative(out, out=out)
     out[:, half:] += _band_product(system.stencil, values[:, half:])
     neg = _band_product(system.stencil, values[::-1, :half])[::-1]
     neg[:-1] *= -1
@@ -233,11 +231,12 @@ def _sweep(stencil: np.ndarray, z: np.ndarray, sign: float = 1.0) -> None:
         row += prev
 
 
-def _lift(system: BlockSystem, rhs: np.ndarray, left: np.ndarray,
+def _lift(system: BlockSystem, data: np.ndarray, left: np.ndarray,
           right: np.ndarray) -> np.ndarray:
-    """b = rhs - A d, the data d (the inflow rows of rhs) moved to the
-    right-hand side, with `left` and `right` the v > 0 rows of the thin
-    factors at weights 1.
+    """b = d - A d, the data moved to the right-hand side, as a new grid:
+    d is the grid that holds `data` (laid out as `BlockSystem.data`) on the
+    inflow rows and is zero elsewhere, and `left` and `right` are the v > 0
+    rows of the thin factors at weights 1.
 
     d sits on node 0's v > 0 half and node N_x's v < 0 half alone.  The
     stencil moves it into rows 1 and 2 of its sign, and each end's
@@ -246,12 +245,13 @@ def _lift(system: BlockSystem, rhs: np.ndarray, left: np.ndarray,
     other row of b, the inflow rows among them, is zero, so this costs
     O(N_v N_y) where the product with the system costs a grid pass.
     """
-    n_x, half = system.smesh.n_x, system.vmesh.n_v // 2
+    n_x, n_v = system.smesh.n_x, system.vmesh.n_v
+    half = n_v // 2
     n_y = right.shape[1] // 2
     parity = _parity(n_y, n_y)  # of L's and R's columns
     w_0, w_n = np.tile(system.coupling.weights[[0, n_x]], 2)
-    d_0, d_n = rhs[0, half:], rhs[n_x, :half]
-    b = np.zeros_like(rhs)
+    d_0, d_n = data
+    b = np.zeros((n_x + 1, n_v))
     b[1:3, half:] = -system.stencil[1:, :1] * d_0
     b[n_x - 2:n_x, :half] = system.stencil[:0:-1, :1] * d_n
     b[0, :half] = (left @ (parity * w_0 * (d_0 @ right)))[::-1]
@@ -286,17 +286,22 @@ def _coupling_products(left: np.ndarray,
 
 def _gmres(matvec, b: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
     """GMRES (Saad & Schultz 1986) for matvec(x) = b from x0 = 0, until the
-    residual norm is at most the absolute tolerance `tol`.
+    residual norm is at most the absolute tolerance `tol`, or until a
+    restart makes no progress.
 
     Arnoldi with classical Gram-Schmidt, orthogonalised twice, and Givens
     rotations on the Hessenberg matrix, run on Python floats.  A cycle ends
     when the rotated residual estimate reaches the tolerance; the true
     residual then decides whether to stop or restart from the new iterate.
+    A restart whose true residual is not below the previous cycle's
+    starting residual has met the floor that roundoff sets: the iterate is
+    returned, and the caller's check of the whole system decides.
     """
     x = np.zeros(b.size)
     r = b
     basis = np.empty((MAX_ITERATIONS + 1, b.size))
     iterations = 0
+    previous = np.inf  # the last cycle's starting residual
     while True:
         beta = float(np.linalg.norm(r))
         if beta <= tol:
@@ -307,6 +312,9 @@ def _gmres(matvec, b: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
                 f"GMRES did not converge in {iterations} iterations: "
                 f"relative residual {GMRES_TOL * beta / tol:.3e}, tolerance "
                 f"{GMRES_TOL:.0e}")
+        if beta >= previous:
+            return x, iterations
+        previous = beta
         m = MAX_ITERATIONS - iterations
         hess = np.zeros((m + 1, m))
         cs, sn, g = [], [], [beta]
@@ -365,7 +373,9 @@ def solve(system: BlockSystem) -> WignerSolution:
     residual, which is zero off the live entries, and ||P|| <= 1, so GMRES
     stops at GMRES_TOL ||b|| / ||L||_2: then the true residual is at most
     GMRES_TOL times the norm of b, the forcing the data exert on the
-    interior rows.
+    interior rows.  On a fine mesh roundoff may set the reduced residual's
+    floor above that; GMRES stops there too, once a restart makes no
+    progress (`_gmres`), and the residual check below decides.
 
     T^-1 acts along x alone and is the same for every v of one sign, so it
     commutes with the products over v (the mixed-product rule of Kronecker
@@ -383,17 +393,21 @@ def solve(system: BlockSystem) -> WignerSolution:
     share R and differ only in L, so both schemes run the same iteration.
     The sweep (`_sweep`) is a prefix scan along x for both signs of v
     (T_- = -D J T_+ J), in place.  The data sit on the two inflow rows
-    alone, so b is the right-hand side moved by the stencil into rows 1
-    and 2 of its sign and by the ends' couplings into the other half of
-    their rows: only those six rows are formed and projected, in
-    O(N_v N_y).  The grid is swept once, for f.
+    alone (`BlockSystem.data`, read and written as the slices [0, half:]
+    and [N_x, :half] of the grid), so b is the data moved by the stencil
+    into rows 1 and 2 of its sign and by the ends' couplings into the
+    other half of their rows: only those six rows are formed and
+    projected, in O(N_v N_y).  The grid is swept once, for f.
 
-    The right-hand side is divided by the power of two that brings its
-    largest entry into [1/2, 1), so that no norm, the residual check's
-    included, underflows or overflows; the values are multiplied back, and
-    the scaling is exact.  Raises SolverError when GMRES reaches
-    MAX_ITERATIONS, an operation overflows or gives NaN, or the relative
-    residual of the whole system exceeds RESIDUAL_TOL.
+    The data are divided by the power of two that brings their largest
+    entry into [1/2, 1), so that no norm, the residual check's included,
+    underflows or overflows; the values are multiplied back, and the
+    scaling is exact.  The residual check is the product of the whole
+    system with f, independent of the reduced iteration, less the data on
+    its two half rows, relative to the norm of the data.  Raises
+    SolverError when GMRES reaches MAX_ITERATIONS, an operation overflows
+    or gives NaN, or the relative residual of the whole system exceeds
+    RESIDUAL_TOL.
     """
     n_x, half = system.smesh.n_x, system.vmesh.n_v // 2
     kernel = system.coupling
@@ -429,11 +443,11 @@ def solve(system: BlockSystem) -> WignerSolution:
         z = p[::-1, :2 * n_y] + p[:, 2 * n_y:]
         return (weights * z[coupled])[live]
 
-    exponent = np.frexp(np.abs(system.rhs).max())[1]
-    rhs = np.ldexp(system.rhs, -exponent)
+    exponent = np.frexp(np.abs(system.data).max())[1]
+    data = np.ldexp(system.data, -exponent)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            b = _lift(system, rhs, left, right)
+            b = _lift(system, data, left, right)
             rows = np.r_[:3, n_x - 2:n_x + 1]  # of b that can be nonzero
             p = np.zeros((n_x + 1, 4 * n_y))  # of b
             p[rows, 2 * n_y:] = b[rows, half:] @ right
@@ -449,11 +463,14 @@ def solve(system: BlockSystem) -> WignerSolution:
             _sweep(system.stencil, b[::-1, :half], -1.0)
             _sweep(system.stencil, b[:, half:])
             values = b
-            values[system.inflow] = rhs[system.inflow]
-            rhs_norm = np.linalg.norm(rhs)
-            res = np.linalg.norm(_apply_system(system, values) - rhs)
+            values[0, half:], values[n_x, :half] = data
+            rhs_norm = np.linalg.norm(data)
+            residual = _apply_system(system, values)
+            residual[0, half:] -= data[0]  # the right-hand side's rows
+            residual[n_x, :half] -= data[1]
+            res = np.linalg.norm(residual)
             np.ldexp(values, exponent, out=values)
-            values[system.inflow] = system.rhs[system.inflow]
+            values[0, half:], values[n_x, :half] = system.data
     except (FloatingPointError, ZeroDivisionError) as exc:
         raise SolverError(
             f"solve left the floating-point range: {exc}") from None

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -39,10 +40,26 @@ def gaussian_bc():
         f_right=lambda v: 0.5 * np.exp(-v ** 2 / 0.1))
 
 
+def inflow_mask(smesh, vmesh):
+    """The inflow rows of the grid: v > 0 at x = -l/2, v < 0 at x = +l/2."""
+    v = vmesh.nodes
+    mask = np.zeros((smesh.n_x + 1, vmesh.n_v), dtype=bool)
+    mask[0], mask[-1] = v > 0, v < 0
+    return mask
+
+
+def full_rhs(system):
+    """The system's right-hand side on the grid: its inflow data on the
+    inflow rows, zero elsewhere."""
+    rhs = np.zeros((system.smesh.n_x + 1, system.vmesh.n_v))
+    rhs[inflow_mask(system.smesh, system.vmesh)] = system.data.ravel()
+    return rhs
+
+
 def to_dense(system):
     """The system's matrix, one column per product with a unit vector."""
-    shape = system.rhs.shape
-    unit = np.eye(system.rhs.size)
+    shape = (system.smesh.n_x + 1, system.vmesh.n_v)
+    unit = np.eye(np.prod(shape))
     return np.column_stack([_apply_system(system, e.reshape(shape)).ravel()
                             for e in unit])
 
@@ -158,7 +175,7 @@ def test_assembly_matches_brute_force(barrier, quad, scheme):
     assert np.abs(blocks - blocks * np.eye(4)).max() > 0
     np.testing.assert_allclose(to_dense(system), want_mat, rtol=0,
                                atol=1e-13)
-    np.testing.assert_allclose(system.rhs.ravel(), want_rhs, rtol=0,
+    np.testing.assert_allclose(full_rhs(system).ravel(), want_rhs, rtol=0,
                                atol=1e-13)
 
 
@@ -169,7 +186,7 @@ def test_solve_matches_dense_solve(barrier, quad, scheme):
     system = assemble_system(barrier, smesh, vmesh, quad, scheme,
                              gaussian_bc())
     sol = solve(system)
-    dense = np.linalg.solve(to_dense(system), system.rhs.ravel())
+    dense = np.linalg.solve(to_dense(system), full_rhs(system).ravel())
     scale = max(1.0, np.abs(dense).max())
     assert np.abs(sol.values.ravel() - dense).max() <= 1e-11 * scale
 
@@ -189,7 +206,7 @@ def test_solve_with_coupled_inflow_ends_matches_dense_solve(barrier, scheme,
                              gaussian_bc())
     assert system.coupling.diff[[0, -1]].any(axis=-1).all()
     sol = solve(system)
-    dense = np.linalg.solve(to_dense(system), system.rhs.ravel())
+    dense = np.linalg.solve(to_dense(system), full_rhs(system).ravel())
     scale = max(1.0, np.abs(dense).max())
     assert np.abs(sol.values.ravel() - dense).max() <= 1e-11 * scale
 
@@ -212,7 +229,7 @@ def test_small_solves_meet_tolerance_or_raise(n_x, n_v, height, scheme):
     except SolverError:
         return
     assert sol.residual <= RESIDUAL_TOL
-    dense = np.linalg.solve(to_dense(system), system.rhs.ravel())
+    dense = np.linalg.solve(to_dense(system), full_rhs(system).ravel())
     scale = max(1.0, np.abs(dense).max())
     assert np.abs(sol.values.ravel() - dense).max() <= 1e-11 * scale
 
@@ -231,10 +248,10 @@ def test_lift_matches_the_product_with_the_system(n_x, n_v, height, l_y,
                              VelocityMesh(n_v, 1 / 32),
                              QuadratureSpec(l_y=l_y, dy=0.5), scheme,
                              gaussian_bc())
-    rhs = system.rhs
-    want = rhs - _apply_system(system, np.where(system.inflow, rhs, 0.0))
+    rhs = full_rhs(system)  # zero off the inflow rows
+    want = rhs - _apply_system(system, rhs)
     which = "A" if scheme == "original" else "B"
-    b = _lift(system, rhs, *_thin_factors(system.coupling, which))
+    b = _lift(system, system.data, *_thin_factors(system.coupling, which))
     assert np.linalg.norm(b - want) <= 1e-15 * np.linalg.norm(want)
 
 
@@ -282,11 +299,12 @@ def test_schemes_differ_by_rank_one_coupling(barrier, quad):
     from wignerlab.operators import build_theta_kernel
     v = vmesh.nodes
     n_v = vmesh.n_v
+    inflow = inflow_mask(smesh, vmesh)
     expected = np.zeros(((smesh.n_x + 1) * n_v,) * 2)
     for i, x in enumerate(smesh.nodes):
         kernel = build_theta_kernel(barrier, x, vmesh, quad)
         block = 2 * np.pi * vmesh.h * np.outer(1 / v, kernel.shift)
-        block[orig.inflow[i]] = 0.0
+        block[inflow[i]] = 0.0
         expected[i * n_v:(i + 1) * n_v, i * n_v:(i + 1) * n_v] = block
     assert np.abs(expected).max() > 0
     np.testing.assert_allclose(to_dense(impr) - to_dense(orig), expected,
@@ -368,7 +386,44 @@ def test_memory_guard_counts_the_reduced_solve(monkeypatch):
                              SpatialMesh(cfg.device_length, n_x=100),
                              VelocityMesh(65536, 1 / 65536), cfg.quad(),
                              "improved", cfg.boundary_conditions())
-    assert system.rhs.shape == (101, 65536)
+    assert system.data.shape == (2, 32768)
+
+
+def test_system_holds_its_data_and_solve_peaks_under_four_grids():
+    # The system keeps the inflow data, two half rows, not a right-hand
+    # side and an inflow mask on the whole (N_x+1, N_v) grid; a solve's
+    # tracemalloc peak above it is about 3.35 such grids here.
+    cfg = load_config(CONFIG_DIR / "conv_v.cfg")
+    n_x, n_v = 100, 8192
+    grid = 8 * (n_x + 1) * n_v
+    tracemalloc.start()
+    try:
+        system = assemble_system(cfg.profile(),
+                                 SpatialMesh(cfg.device_length, n_x=n_x),
+                                 VelocityMesh(n_v, 1 / n_v), cfg.quad(),
+                                 "improved", cfg.boundary_conditions())
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        sol = solve(system)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert sol.residual <= RESIDUAL_TOL
+    assert held < grid
+    assert peak <= 4 * grid
+
+
+@pytest.mark.parametrize("scheme", ["original", "improved"])
+@pytest.mark.parametrize("n_x", [200, 400])
+def test_refined_figure_solves_past_the_gmres_floor(scheme, n_x):
+    # On figure.cfg refined in x, GMRES's restarts stall a few times above
+    # its tolerance; the solve stops there, and the whole-system residual
+    # check accepts the result.
+    cfg = load_config(CONFIG_DIR / "figure.cfg")
+    sol = solve_bvp(cfg.profile(), SpatialMesh(cfg.device_length, n_x=n_x),
+                    VelocityMesh(cfg.n_v, cfg.h), cfg.quad(), scheme,
+                    cfg.boundary_conditions())
+    assert sol.residual <= RESIDUAL_TOL
 
 
 @pytest.mark.parametrize("scheme", ["original", "improved"])
