@@ -145,18 +145,19 @@ def assemble_system(profile: PotentialProfile, smesh: SpatialMesh,
         raise ConfigurationError(f"unknown scheme {scheme!r}")
     n_x, n_v, n_y = smesh.n_x, vmesh.n_v, quad.n_y
     cols = 2 * n_y  # of the thin factors
-    # 6 (N_x+1, N_v) work arrays, 1.8 times a solve's tracemalloc peak net
-    # of the Krylov basis and the S and C tables (3.2 to 3.4 of them at
-    # N_x = 100, N_v = 8192 to 2^19 and at N_x = 400, N_v = 2048): the
-    # solution, and the residual check's product, its band products and
-    # their temporaries, and its own thin factors; every node's differences;
-    # two (N_v/2, cols) arrays, the v > 0 rows of the thin factors; H_+
-    # and H, of cols rows and 3 cols columns together; six (N_x+1, 4 N_y)
-    # projected arrays; and a Krylov basis of reduced vectors, at most
-    # cols live entries per node
+    coupling = build_theta_kernel(profile, smesh.nodes, vmesh, quad)
+    # 6 (N_x+1, N_v) work arrays, 2.0 to 2.2 times a solve's tracemalloc
+    # peak (2.7 to 3.0 of them at N_x = 100, N_v = 8192 and 65536 and at
+    # N_x = 400, N_v = 2048): the solution, the residual check's product
+    # and the temporary of one band, and its own thin factors; every node's
+    # differences; two (N_v/2, cols) arrays, the v > 0 rows of the thin
+    # factors; H_+ and H, of cols rows and 3 cols columns together; six
+    # (N_x+1, 4 N_y) projected arrays; and a Krylov basis of the live
+    # weighted moments, two per nonzero difference
     check_memory(n_v, n_y, 8 * ((n_x + 1) * (6 * n_v + n_y + 6 * 4 * n_y)
                                 + 2 * (n_v // 2) * cols + 3 * cols * cols
-                                + (MAX_ITERATIONS + 1) * (n_x + 1) * cols))
+                                + (MAX_ITERATIONS + 1) * 2
+                                * np.count_nonzero(coupling.diff)))
     dx = smesh.dx
     v, half = vmesh.nodes, n_v // 2  # v > 0 on [half:]
 
@@ -167,37 +168,26 @@ def assemble_system(profile: PotentialProfile, smesh: SpatialMesh,
     stencil[0, :2] = 1.0, 1 / dx  # inflow identity; first-order row 1
     stencil[1, 0] = -1 / dx
     data = np.stack([bc.f_left(v[half:]), bc.f_right(v[:half])])
-    coupling = build_theta_kernel(profile, smesh.nodes, vmesh, quad)
     return BlockSystem(coupling=coupling, stencil=stencil, data=data,
                        smesh=smesh, vmesh=vmesh, scheme=scheme)
 
 
-def _band_product(bands: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """a @ x for the lower-triangular matrix a whose three bands are
-    stored in `bands` as `BlockSystem.stencil` stores them."""
-    n = bands.shape[1]
-    out = np.zeros(x.shape)
-    for k in (2, 1, 0):  # the subdiagonal a[j + k, j]
-        out[k:] += bands[k, :n - k, None] * x[:n - k]
-    return out
-
-
 def _apply_system(system: BlockSystem, values: np.ndarray) -> np.ndarray:
-    """Multiply the block-banded matrix by a grid function.
-
-    The coupling is left out of the inflow rows.  The v < 0 stencil is
-    T_- = -D J T_+ J, with J reversing x and D negating the inflow row, the
-    last.
-    """
+    """Multiply the block-banded matrix by a grid function in one work
+    grid: the coupling product, negated, takes the stencil's bands one at a
+    time, subtracted on the reversed v < 0 half as T_- = -D J T_+ J (J
+    reverses x, D negates the inflow row, the last); the inflow rows are
+    identity rows, set last."""
     apply_op = apply_A if system.scheme == "original" else apply_B
-    n_x, half = system.smesh.n_x, system.vmesh.n_v // 2
+    n, half = system.smesh.n_x + 1, system.vmesh.n_v // 2
     out = apply_op(system.coupling, values)
-    out[0, half:] = out[n_x, :half] = 0.0
     np.negative(out, out=out)
-    out[:, half:] += _band_product(system.stencil, values[:, half:])
-    neg = _band_product(system.stencil, values[::-1, :half])[::-1]
-    neg[:-1] *= -1
-    out[:, :half] += neg
+    neg, flipped = out[::-1, :half], values[::-1, :half]
+    for k in (2, 1, 0):  # the subdiagonal a[j + k, j]
+        band = system.stencil[k, :n - k, None]
+        out[k:, half:] += band * values[:n - k, half:]
+        neg[k:] -= band * flipped[:n - k]
+    out[0, half:], out[n - 1, :half] = values[0, half:], values[n - 1, :half]
     return out
 
 

@@ -53,7 +53,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractError, ResourceError
+from .errors import (ConfigurationError, ContractError, ResourceError,
+                     SolverError)
 from .potential import PotentialProfile, potential_difference
 # `wigner_potential` is not called here; the benchmark's tracer looks it up
 from .wigner_potential import QuadratureSpec, sine_sum, wigner_potential
@@ -242,22 +243,21 @@ def _left_group(kernel: WignerKernel, which: str, group: int,
     return left
 
 
-def _thin_factors(kernel: WignerKernel, which: str,
-                  weights=1.0) -> tuple[np.ndarray, np.ndarray]:
+def _thin_factors(kernel: WignerKernel,
+                  which: str) -> tuple[np.ndarray, np.ndarray]:
     """Thin factors L and R of theta, A or B, the operator at a node being
     L R^T with R = [C, S]: for theta, L = 2*pi*h [S W, -C W]; A divides row
     n of L by v_n; B is A with 1 - C in place of -C, bounded because
     |sin(v y)| and |1 - cos(v y)| are at most |v| y.
 
-    Returns the v > 0 rows of L, with `weights` for the diagonal of W, and
-    of R; `_parity` gives the v < 0 rows.  With weights 1 the pair is the
-    same at every node: the operator is then L diag(w, w) R^T, its nodes'
-    weights moved to the right.
+    Returns the v > 0 rows of L, at weights 1, and of R; `_parity` gives
+    the v < 0 rows.  The pair is the same at every node: the operator is
+    L diag(w, w) R^T, its nodes' weights moved to the right.
     """
     if which not in ("theta", "A", "B"):
         raise ContractError(f"unknown operator {which!r}")
     sin, cos = kernel.tables
-    left = [_left_group(kernel, which, g, weights) for g in (0, 1)]
+    left = [_left_group(kernel, which, g) for g in (0, 1)]
     return np.hstack(left), np.hstack([cos, sin])
 
 
@@ -286,7 +286,7 @@ def operator_norm(kernel: WignerKernel, which: str) -> float:
     so theta, A and B together take seven QRs, not twelve.  The kernel
     keeps R's triangles and each group's norm as they are computed
     (`WignerKernel._norm_factors`); every operator's norm is the same
-    whichever is asked first.
+    whichever is asked first.  An overflow raises SolverError.
 
     Under mesh refinement (h -> 0 with the window fixed) the three norms
     behave differently: |theta|_2 <= 2 max|V|; |B|_2 stays uniformly
@@ -307,12 +307,19 @@ def operator_norm(kernel: WignerKernel, which: str) -> float:
     cache = kernel._norm_factors
     # A's and B's first groups are one block: their norms are one entry
     keys = [("A" if which == "B" and g == 0 else which, g) for g in (0, 1)]
-    for key in keys:
-        if key not in cache:
-            op, g = key
-            left = _left_group(kernel, op, g, kernel.weights)
-            if g not in cache:  # R's group g, C or S, the same for all three
-                cache[g] = np.linalg.qr(kernel.tables[1 - g], mode="r")
-            cache[key] = float(np.linalg.norm(
-                np.linalg.qr(left, mode="r") @ cache[g].T, 2))
-    return 2 * max(cache[key] for key in keys)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for key in keys:
+                if key not in cache:
+                    op, g = key
+                    left = _left_group(kernel, op, g, kernel.weights)
+                    if g not in cache:  # R's group g, C or S, for all three
+                        cache[g] = np.linalg.qr(kernel.tables[1 - g], "r")
+                    cache[key] = np.linalg.norm(
+                        np.linalg.qr(left, mode="r") @ cache[g].T, 2)
+            norm = float(2 * np.max([cache[key] for key in keys]))
+            if np.isfinite(norm):  # np.linalg's SVD ignores its own overflow
+                return norm
+    except FloatingPointError:  # a factor product overflowed
+        pass
+    raise SolverError(f"{which} norm left the floating-point range")

@@ -1,3 +1,4 @@
+import os
 import re
 import time
 from dataclasses import replace
@@ -153,7 +154,13 @@ class TestMain:
                 in capsys.readouterr().out)
 
     def test_oversized_system_fails_fast_with_resource_error(self, tmp_path,
-                                                             capsys):
+                                                             capsys,
+                                                             monkeypatch):
+        # 4 GiB of physical memory: N_v = 2^24 holds its 1 GiB of S and C
+        # tables, but not the 7.25 GiB of a solve's work arrays and thin
+        # factors on top
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2 ** 20}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
         cfg_file = tmp_path / "big.cfg"
         cfg_file.write_text(TINY_TEXT.replace("N_v = 8", "N_v = 16777216"))
         start = time.perf_counter()
@@ -208,6 +215,25 @@ class TestMain:
         assert code == 3
         assert capsys.readouterr().err.startswith(
             "solver error: solve left the floating-point range")
+
+    @pytest.mark.parametrize("level", ["32", "128"])
+    def test_overflowing_norm_exits_with_solver_error(self, tmp_path,
+                                                      capsys, level):
+        # |V| = 4e307 keeps D_V finite, but A's factor product overflows:
+        # unchecked, ||A||_2 read inf at R_h = 32, and at 128 a NaN group
+        # norm that the maximum over the groups dropped
+        cfg_file = tmp_path / "huge.cfg"
+        cfg_file.write_text(
+            TINY_TEXT.replace("segment = -1.5, 1.5, 0.2",
+                              "segment = -1, 1, 4e307")
+            + f"norm_position = 1\nlevels = {level}\n")
+        code = main(["norms", "--config", str(cfg_file), "--out",
+                     str(tmp_path / "out")])
+        assert code == 3
+        out, err = capsys.readouterr()
+        assert err.startswith(
+            "solver error: A norm left the floating-point range")
+        assert "A=" not in out
 
     @pytest.mark.parametrize("case", ["missing", "directory", "latin-1",
                                       "out-is-file"])
@@ -385,6 +411,7 @@ class TestValidation:
         "inflow_left = 1.0, 0.5, -0.25",
         "inflow_left = nan, 0.5, 0.25",
         "inflow_right = 1.0, inf, 0.25",
+        "default_V = 1e308",
     ])
     def test_bad_config_exits_with_configuration_error(self, tmp_path, capsys,
                                                        line):
@@ -406,6 +433,8 @@ class TestValidation:
         ("inflow_left", (1.0, 0.5, -1.0)),
         ("inflow_right", (float("nan"), 0.0, 1.0)), ("scheme", "wrong"),
         ("norm_position", float("inf")), ("n_v", 8.5),
+        ("default_v", 1e308),
+        ("segments", ((-1.0, 1.0, 1e308), (1.0, 2.0, -1e308))),
     ])
     def test_direct_construction_validates(self, field, value):
         RunConfig(**TINY_FIELDS)

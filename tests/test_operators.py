@@ -9,10 +9,10 @@ import pytest
 from wignerlab.bvp_solver import SpatialMesh
 from wignerlab.cli import load_config, run_norms
 from wignerlab.errors import ConfigurationError, ContractError, ResourceError
-from wignerlab.operators import (VelocityMesh, _parity, _thin_factors,
-                                 apply_A, apply_B, apply_theta,
-                                 build_theta_kernel, materialize,
-                                 operator_norm)
+from wignerlab.operators import (VelocityMesh, _left_group, _parity,
+                                 _thin_factors, apply_A, apply_B,
+                                 apply_theta, build_theta_kernel,
+                                 materialize, operator_norm)
 from wignerlab.potential import PotentialProfile, barrier_profile
 from wignerlab.wigner_potential import QuadratureSpec, wigner_potential
 
@@ -377,7 +377,9 @@ def test_norm_independent_of_the_order_asked(r_h):
     n_y = cfg.quad().n_y
     for which in ("theta", "A", "B"):
         kernel = fresh()
-        left, right = _thin_factors(kernel, which, kernel.weights)
+        left = np.hstack([_left_group(kernel, which, g, kernel.weights)
+                          for g in (0, 1)])
+        right = _thin_factors(kernel, which)[1]
         want = 2 * max(float(np.linalg.norm(
             np.linalg.qr(left[:, g], mode="r")
             @ np.linalg.qr(right[:, g], mode="r").T, 2))
