@@ -145,19 +145,17 @@ def assemble_system(profile: PotentialProfile, smesh: SpatialMesh,
         raise ConfigurationError(f"unknown scheme {scheme!r}")
     n_x, n_v, n_y = smesh.n_x, vmesh.n_v, quad.n_y
     cols = 2 * n_y  # of the thin factors
-    coupling = build_theta_kernel(profile, smesh.nodes, vmesh, quad)
     # 6 (N_x+1, N_v) work arrays, 2.0 to 2.2 times a solve's tracemalloc
     # peak (2.7 to 3.0 of them at N_x = 100, N_v = 8192 and 65536 and at
     # N_x = 400, N_v = 2048): the solution, the residual check's product
     # and the temporary of one band, and its own thin factors; every node's
-    # differences; two (N_v/2, cols) arrays, the v > 0 rows of the thin
-    # factors; H_+ and H, of cols rows and 3 cols columns together; six
-    # (N_x+1, 4 N_y) projected arrays; and a Krylov basis of the live
-    # weighted moments, two per nonzero difference
+    # differences, counted before any is sampled; two (N_v/2, cols) arrays,
+    # the v > 0 rows of the thin factors; H_+ and H, of cols rows and 3 cols
+    # columns together; six (N_x+1, 4 N_y) projected arrays; and a Krylov
+    # basis of reduced vectors, at most cols live entries per node
     check_memory(n_v, n_y, 8 * ((n_x + 1) * (6 * n_v + n_y + 6 * 4 * n_y)
                                 + 2 * (n_v // 2) * cols + 3 * cols * cols
-                                + (MAX_ITERATIONS + 1) * 2
-                                * np.count_nonzero(coupling.diff)))
+                                + (MAX_ITERATIONS + 1) * (n_x + 1) * cols))
     dx = smesh.dx
     v, half = vmesh.nodes, n_v // 2  # v > 0 on [half:]
 
@@ -168,6 +166,7 @@ def assemble_system(profile: PotentialProfile, smesh: SpatialMesh,
     stencil[0, :2] = 1.0, 1 / dx  # inflow identity; first-order row 1
     stencil[1, 0] = -1 / dx
     data = np.stack([bc.f_left(v[half:]), bc.f_right(v[:half])])
+    coupling = build_theta_kernel(profile, smesh.nodes, vmesh, quad)
     return BlockSystem(coupling=coupling, stencil=stencil, data=data,
                        smesh=smesh, vmesh=vmesh, scheme=scheme)
 

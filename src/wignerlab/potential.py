@@ -47,7 +47,7 @@ class PotentialProfile:
             raise ConfigurationError(
                 f"non-finite default value {self.default_value}")
         object.__setattr__(self, "segments", segs)
-        if not np.isfinite(2 * self.max_abs):  # D_V and means at jumps
+        if self.max_abs > np.finfo(float).max / 2:  # D_V, means at jumps
             raise ConfigurationError(f"|V| up to {self.max_abs} overflows D_V")
 
     @property

@@ -14,7 +14,7 @@ from wignerlab.bvp_solver import (RESIDUAL_TOL, BoundaryConditions,
                                   assemble_system, solution_to_csv, solve,
                                   solve_bvp)
 from wignerlab.cli import load_config
-from wignerlab.errors import ConfigurationError, SolverError
+from wignerlab.errors import ConfigurationError, ResourceError, SolverError
 from wignerlab.operators import VelocityMesh, _thin_factors, build_theta_kernel
 from wignerlab.potential import PotentialProfile, barrier_profile
 from wignerlab.wigner_potential import QuadratureSpec
@@ -387,6 +387,26 @@ def test_memory_guard_counts_the_reduced_solve(monkeypatch):
                              VelocityMesh(65536, 1 / 65536), cfg.quad(),
                              "improved", cfg.boundary_conditions())
     assert system.data.shape == (2, 32768)
+
+
+def test_memory_guard_refuses_before_sampling_the_kernel(monkeypatch):
+    # 8 GiB of physical memory: N_x = 2^20 with L_y/dy = 4096 keeps small
+    # S and C tables, but every node's differences alone would take 32 GiB;
+    # the guard refuses before any of them is allocated.
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2 ** 21}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    cfg = load_config(CONFIG_DIR / "conv_v.cfg")
+    args = (cfg.profile(), SpatialMesh(cfg.device_length, n_x=2 ** 20),
+            VelocityMesh(64, 1 / 64), QuadratureSpec(4096.0, 1.0),
+            "improved", cfg.boundary_conditions())
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError):
+            assemble_system(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_system_holds_its_data_and_solve_peaks_under_four_grids():

@@ -54,6 +54,16 @@ def test_malformed_segment_rejected():
         PotentialProfile(segments=((2.0, 1.0, 0.5),))
 
 
+def test_overflowing_profile_rejected_for_numpy_scalars():
+    # 2 max|V| must stay finite; the check itself must not overflow (a
+    # RuntimeWarning, an error under the test settings) on a numpy scalar
+    with pytest.raises(ConfigurationError):
+        PotentialProfile(segments=(), default_value=np.float64(1e308))
+    with pytest.raises(ConfigurationError):
+        PotentialProfile(segments=((0.0, 1.0, np.float64(-1e308)),))
+    assert PotentialProfile((), np.float64(0.3)).max_abs == 0.3
+
+
 def test_difference_example(barrier):
     # V(2) - V(0) with x=1, y=2
     assert potential_difference(barrier, 1.0, 2.0) == pytest.approx(-0.2)
