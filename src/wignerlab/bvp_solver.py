@@ -19,8 +19,8 @@ takes O(N_x N_v) memory.
 The upwind stencil is the same for every v of one sign, so the system stores
 it once, as the three bands of one lower-triangular matrix of order N_x+1
 for v > 0; the v < 0 stencil is its mirror image.  Its exact inverse, the
-transport sweep, is a first-order recurrence along x, run as a prefix scan
-for both signs of v.  After the sweep the system is the identity plus the
+transport sweep, is a block forward substitution along x, by 32 rows, for
+both signs of v.  After the sweep the system is the identity plus the
 coupling L diag(w_i, w_i) R^T at node i, with thin factors L and R the same
 at every node, so the solver runs GMRES on the nodes' weighted moments
 diag(w_i, w_i) R^T f_i: two per nonzero potential difference D_V(x_i, y_j),
@@ -40,8 +40,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-# `lu_factor` and `lu_solve` are not called here; the tracer looks them up
-from scipy.linalg import lu_factor, lu_solve, solve_triangular
+# the benchmark's tracer looks up `lu_factor` and `lu_solve`, not called here
+from scipy.linalg import lu_factor, lu_solve
 
 from .errors import ConfigurationError, SolverError
 # `materialize` is not called here; the benchmark's tracer looks it up
@@ -58,6 +58,7 @@ __all__ = ["SpatialMesh", "BoundaryConditions", "WignerSolution",
 RESIDUAL_TOL = 1e-10
 GMRES_TOL = 1e-13
 MAX_ITERATIONS = 300
+_BLOCK = 32  # sweep rows; 16 was slower at N_x = 25, 64 from N_x = 100 on
 
 
 @dataclass(frozen=True)
@@ -120,8 +121,8 @@ class BlockSystem:
           applied to f(x_i, .).
     stencil: the upwind d/dx for v > 0, identity on the inflow row, as the
           three bands of a lower-triangular matrix a of order N_x+1: row k
-          holds the k-th subdiagonal, a[j + k, j] in column j.  `_sweep`
-          reads its ratio a_2/a_0 = 1/3 from here.
+          holds the k-th subdiagonal, a[j + k, j] in column j.  `solve`
+          forms the sweep's blocks from it (`_sweep_blocks`).
     data: the inflow data, shape (2, N_v/2): row 0 is f_left on v > 0 at
           x = -l/2, row 1 f_right on v < 0 at x = +l/2.  They sit on the
           inflow rows, the identity rows [0, N_v/2:] and [N_x, :N_v/2] of
@@ -147,12 +148,12 @@ def assemble_system(profile: PotentialProfile, smesh: SpatialMesh,
     cols = 2 * n_y  # of the thin factors
     # 6 (N_x+1, N_v) work arrays, 2.0 to 2.2 times a solve's tracemalloc
     # peak (2.7 to 3.0 of them at N_x = 100, N_v = 8192 and 65536 and at
-    # N_x = 400, N_v = 2048): the solution, the residual check's product
-    # and the temporary of one band, and its own thin factors; every node's
-    # differences, counted before any is sampled; two (N_v/2, cols) arrays,
-    # the v > 0 rows of the thin factors; H_+ and H, of cols rows and 3 cols
-    # columns together; six (N_x+1, 4 N_y) projected arrays; and a Krylov
-    # basis of reduced vectors, at most cols live entries per node
+    # N_x = 400, N_v = 2048): the solution, the residual check's product,
+    # one band and its own thin factors, and the sweep's slab of 32 rows;
+    # every node's differences, counted before any is sampled; two
+    # (N_v/2, cols) arrays, the v > 0 rows of the thin factors; H_+ and H,
+    # of cols rows and 3 cols columns; six (N_x+1, 4 N_y) projected arrays;
+    # and a Krylov basis of reduced vectors, at most cols live per node
     check_memory(n_v, n_y, 8 * ((n_x + 1) * (6 * n_v + n_y + 6 * 4 * n_y)
                                 + 2 * (n_v // 2) * cols + 3 * cols * cols
                                 + (MAX_ITERATIONS + 1) * (n_x + 1) * cols))
@@ -190,34 +191,47 @@ def _apply_system(system: BlockSystem, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sweep(stencil: np.ndarray, z: np.ndarray, sign: float = 1.0) -> None:
+def _sweep_blocks(stencil: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_sweep`'s matrices of order 32: the inverse of T_+'s leading block,
+    and [-a_2 X e_0, a_2 X e_0, X], X an interior block's inverse.  Rows 2
+    on are row 2 shifted and rows 1 on sum to zero, so X is Toeplitz and the
+    leading inverse is X, its column 0 ones, its column 1 times a_0/a_11."""
+    a_0, a_1, a_2 = stencil[0, 2], stencil[1, 1], stencil[2, 0]  # of row 2
+    c = [0.0, 1 / a_0]  # X e_0 from row -1; numpy scalars obey np.errstate
+    while len(c) <= _BLOCK:  # forward substitution
+        c.append(-(a_1 * c[-1] + a_2 * c[-2]) / a_0)
+    r = np.arange(_BLOCK)
+    interior = np.tril(np.array(c[1:])[r[:, None] - r])
+    lead = interior * np.r_[1.0, a_0 / stencil[0, 1], np.ones(_BLOCK - 2)]
+    lead[:, 0] = 1.0
+    carry = a_2 * interior[:, :1]
+    return lead, np.hstack([-carry, carry, interior])
+
+
+def _sweep(blocks: tuple[np.ndarray, np.ndarray], z: np.ndarray,
+           sign: float = 1.0) -> None:
     """Overwrite z with the transport sweep T_+^-1 of every column of z (x
     along the first axis), taken after multiplying its rows past the first
-    by `sign`.
-
-    T_- = -D J T_+ J, with J reversing x and D negating the inflow row, so
-    J T_-^-1 y is this sweep of J y with sign -1.  T_+ is lower triangular
-    with rows summing to zero past the inflow row 0, so with
-    u_i = z_i - z_{i-1} its rows i >= 2 read a_0 u_i - a_2 u_{i-1} = b_i,
-    a_0 the diagonal and a_2 the second subdiagonal of `stencil`, and row 1
-    reads d_1 u_1 = b_1.  The first-order recurrence
-    u_i = (a_2/a_0) u_{i-1} + b_i/a_0 is a prefix scan, run by recursive
-    doubling (Kogge & Stone, IEEE Trans. Comput. C-22, 1973): after the
-    step of shift s, u_i sums the 2s latest terms.  a_2/a_0 = 1/3, so the
-    steps stop once (a_2/a_0)^s is below roundoff; then z = b_0 + cumsum(u).
-    """
-    a_0 = stencil[0, 2]
-    ratio = stencil[2, 0] / a_0
-    z[1] *= sign / stencil[0, 1]
-    z[2:] *= sign / a_0
-    step = 1
-    while step < len(z) - 1 and ratio ** step > np.finfo(float).eps:
-        z[step + 1:] += ratio ** step * z[1:-step]
-        step *= 2
-    # the cumulative sum row by row: np.cumsum along the first axis walks
-    # each column apart, about 20 times slower at N_v = 65536
-    for prev, row in zip(z[:-1], z[1:]):
-        row += prev
+    by `sign`; T_- = -D J T_+ J (J reverses x, D negates the inflow row), so
+    J T_-^-1 y is this sweep of J y with sign -1.  Block forward
+    substitution (Golub & Van Loan, Matrix Computations, 3.1) by 32 rows
+    on `_sweep_blocks`: block k > 0 is X (sign b_k - C z_{k-1}), C the
+    carry of z_{k-1}'s last rows z'', z', and as T_+'s rows sum to zero,
+    -X C z_{k-1} = z' + a_2 (z' - z'') X e_0.  Adding z' last rounds z once;
+    no carry of order z/dx cancels in z."""
+    lead, step = blocks
+    if sign != 1.0:  # on the columns that take rows of b past the first
+        signs = np.r_[1.0, 1.0, np.full(_BLOCK, sign)]
+        lead, step = lead * signs[1:-1], step * signs
+    # BLAS takes positive strides: a reversed z goes by reversed slabs
+    flip = slice(None, None, -1 if z.strides[0] < 0 else 1)
+    slab = np.empty((min(len(z), _BLOCK), z.shape[1]))
+    for s in range(0, len(z), _BLOCK):
+        m = min(_BLOCK, len(z) - s)
+        block, rows, last = ((lead[:m, :m], slice(0, m), 0.0) if s == 0 else
+                             (step[:m, :m + 2], slice(s - 2, s + m), z[s - 1]))
+        np.matmul(block[flip, flip], z[rows][flip], out=slab[:m])
+        np.add(slab[:m], last, out=z[s:s + m][flip])
 
 
 def _lift(system: BlockSystem, data: np.ndarray, left: np.ndarray,
@@ -332,7 +346,7 @@ def _gmres(matvec, b: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
             if abs(g[k]) <= tol or norm == 0:
                 break
             basis[k] = w / norm
-        y = solve_triangular(hess[:k, :k], g[:k])
+        y = np.linalg.solve(hess[:k, :k], g[:k])
         x = x + y @ basis[:k]
         iterations += k
         r = b - matvec(x)
@@ -380,12 +394,12 @@ def solve(system: BlockSystem) -> WignerSolution:
     runs backwards in x, so its row 0 holds both inflow rows, node 0's
     v > 0 half and node N_x's v < 0 half: P zeroes that row.  A and B
     share R and differ only in L, so both schemes run the same iteration.
-    The sweep (`_sweep`) is a prefix scan along x for both signs of v
-    (T_- = -D J T_+ J), in place.  The data sit on the two inflow rows
-    alone (`BlockSystem.data`, read and written as the slices [0, half:]
-    and [N_x, :half] of the grid), so b is the data moved by the stencil
-    into rows 1 and 2 of its sign and by the ends' couplings into the
-    other half of their rows: only those six rows are formed and
+    The sweep (`_sweep`), blocked along x, runs in place for both signs of
+    v (T_- = -D J T_+ J) on `_sweep_blocks`.  The data sit on the two
+    inflow rows alone (`BlockSystem.data`, read and written as the slices
+    [0, half:] and [N_x, :half] of the grid), so b is the data moved by
+    the stencil into rows 1 and 2 of its sign and by the ends' couplings
+    into the other half of their rows: only those six rows are formed and
     projected, in O(N_v N_y).  The grid is swept once, for f.
 
     The data are divided by the power of two that brings their largest
@@ -428,7 +442,7 @@ def solve(system: BlockSystem) -> WignerSolution:
 
     def reduce(p: np.ndarray) -> np.ndarray:  # V^T y from p of y
         # the sweep acts along x alone, so it commutes with R
-        _sweep(system.stencil, p)
+        _sweep(blocks, p)
         z = p[::-1, :2 * n_y] + p[:, 2 * n_y:]
         return (weights * z[coupled])[live]
 
@@ -436,6 +450,7 @@ def solve(system: BlockSystem) -> WignerSolution:
     data = np.ldexp(system.data, -exponent)
     try:
         with np.errstate(over="raise", invalid="raise"):
+            blocks = _sweep_blocks(system.stencil)
             b = _lift(system, data, left, right)
             rows = np.r_[:3, n_x - 2:n_x + 1]  # of b that can be nonzero
             p = np.zeros((n_x + 1, 4 * n_y))  # of b
@@ -449,8 +464,8 @@ def solve(system: BlockSystem) -> WignerSolution:
             b[coupled, half:] += u @ left.T
             del left, right  # the residual check forms its own pair
             b[0, half:] = b[n_x, :half] = 0.0  # P; b is zero there
-            _sweep(system.stencil, b[::-1, :half], -1.0)
-            _sweep(system.stencil, b[:, half:])
+            _sweep(blocks, b[::-1, :half], -1.0)
+            _sweep(blocks, b[:, half:])
             values = b
             values[0, half:], values[n_x, :half] = data
             rhs_norm = np.linalg.norm(data)

@@ -11,6 +11,7 @@ from wignerlab import bvp_solver
 from wignerlab.bvp_solver import (RESIDUAL_TOL, BoundaryConditions,
                                   SpatialMesh, _apply_system,
                                   _coupling_products, _lift, _sweep,
+                                  _sweep_blocks,
                                   assemble_system, solution_to_csv, solve,
                                   solve_bvp)
 from wignerlab.cli import load_config
@@ -347,7 +348,8 @@ def test_parity_split_products_match_full_height_factors(barrier, which,
     assert abs(norm - want_norm) <= 1e-13 * want_norm
 
 
-@pytest.mark.parametrize("n_x", [4, 5, 63, 64, 65, 400, 1600])
+@pytest.mark.parametrize("n_x", [4, 5, 30, 31, 32, 33, 63, 64, 65, 400,
+                                 1600])
 @pytest.mark.parametrize("amplitude", [1.0, 1e-300, 1e300])
 def test_sweep_matches_band_solver_and_stencil(quad, n_x, amplitude):
     # `solve_banded` on the stored bands is the oracle for both signs of v:
@@ -361,8 +363,9 @@ def test_sweep_matches_band_solver_and_stencil(quad, n_x, amplitude):
     stencil = system.stencil
     b = amplitude * np.random.default_rng(n_x).standard_normal((n_x + 1, 6))
     z = b.copy()
-    _sweep(stencil, z[::-1, :3], -1.0)
-    _sweep(stencil, z[:, 3:])
+    blocks = _sweep_blocks(stencil)
+    _sweep(blocks, z[::-1, :3], -1.0)
+    _sweep(blocks, z[:, 3:])
     neg = -b[:, :3]
     neg[-1] *= -1
     want = np.hstack([solve_banded((0, 2), stencil[::-1, ::-1], neg),

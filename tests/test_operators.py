@@ -263,7 +263,11 @@ def test_factored_norm_matches_dense_svd(which, n_v, x):
     kernel = build_theta_kernel(barrier_profile(), x,
                                 VelocityMesh(n_v, 1 / n_v),
                                 QuadratureSpec(l_y=31, dy=0.5))
-    dense = np.linalg.norm(materialize(kernel, which), 2)
+    # the largest singular value of the dense matrix, as the square root of
+    # the largest eigenvalue of M^T M: a full SVD of M takes about three
+    # times as long at N_v = 2048, and the two agree to 1e-14 relative
+    m = materialize(kernel, which)
+    dense = np.sqrt(np.linalg.eigvalsh(m.T @ m)[-1])
     assert dense > 0
     assert abs(operator_norm(kernel, which) - dense) <= 1e-12 * dense
 
