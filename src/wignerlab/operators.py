@@ -32,9 +32,11 @@ holds S and C on the v > 0 velocities only, and every product reads the
 v < 0 rows of a factor by one rule (`_parity`): row v_{-n-1} is row v_n
 with its odd columns negated.  An even/odd change of basis splits each
 operator into two blocks of order at most N_y (Cantoni & Butler, Linear
-Algebra Appl. 13, 1976), which `operator_norm` factors.  The factors are
-shared per kernel: R is the same for theta, A and B, and A's and B's first
-groups of L are one block, so the three norms at a node take seven QRs.
+Algebra Appl. 13, 1976), which `operator_norm` factors on the node's live
+offsets only, J = {j : D_V(x, y_j) != 0}: W is zero off J, so the blocks
+have order at most nnz(D_V(x, .)).  The factors are shared per kernel: R
+is the same for theta, A and B, and A's and B's first groups of L are one
+block, so the three norms at a node take seven QRs.
 
 A kernel may stack several nodes' D_V along a leading axis, sampled in one
 call; the operators then act on each node's row of f with that node's
@@ -127,8 +129,9 @@ class WignerKernel:
     @cached_property
     def _norm_factors(self) -> dict:
         """What `operator_norm` has computed at this node: the QR triangles
-        of R's column groups, keyed 0 (C) and 1 (S), and the 2-norms of the
-        group products, keyed (operator, group)."""
+        of R's column groups on the node's live offsets, keyed 0 (C) and 1
+        (S), each of order at most nnz(D_V), and the 2-norms of the group
+        products, keyed (operator, group)."""
         return {}
 
     @property
@@ -232,11 +235,13 @@ def materialize(kernel: WignerKernel, which: str) -> np.ndarray:
 
 
 def _left_group(kernel: WignerKernel, which: str, group: int,
-                weights=1.0) -> np.ndarray:
+                weights=1.0, live=slice(None)) -> np.ndarray:
     """The v > 0 rows of column group 0 or 1 of theta's, A's or B's L (see
-    `_thin_factors`), with `weights` for the diagonal of W."""
+    `_thin_factors`), on the offsets `live` (all N_y by default), with
+    `weights` for those offsets' diagonal entries of W."""
     sin, cos = kernel.tables
-    left = (sin if group == 0 else 1 - cos if which == "B" else -cos) * weights
+    left = (sin[:, live] if group == 0 else 1 - cos[:, live] if which == "B"
+            else -cos[:, live]) * weights
     left *= 2 * np.pi * kernel.mesh.h
     if which != "theta":
         left /= kernel.mesh.nodes[kernel.mesh.n_v // 2:, None]
@@ -278,8 +283,12 @@ def operator_norm(kernel: WignerKernel, which: str) -> float:
         |op|_2 = 2 max_g |T_L,g T_R,g^T|_2,
 
     with T_L,g and T_R,g the QR triangles of the v > 0 rows of group g of L
-    and R, each of order at most N_y.  Only the v > 0 rows are formed, one
-    group at a time.
+    and R.  W is zero off the node's live offsets J = {j : D_V(x, y_j) !=
+    0}, so L_g W R_g^T = L_g,J W_J R_g,J^T: only the N_v/2 x nnz(D_V) live
+    columns of each group are formed, one group at a time, and each
+    triangle has order at most nnz(D_V), not N_y.  A QR then costs
+    O(N_v nnz^2) and the SVD of the product has order nnz.  A node with no
+    live offset has norm 0.
 
     The factors are shared per kernel: R's two triangles serve all three
     operators, and A's and B's first groups are one block, 2*pi*h S W / v,
@@ -298,12 +307,16 @@ def operator_norm(kernel: WignerKernel, which: str) -> float:
         raise ContractError(
             f"operator_norm takes a one-node kernel, got nodes of shape "
             f"{kernel.diff.shape[:-1]}")
-    n_v, n_y = kernel.mesh.n_v, kernel.quad.n_y
-    # three arrays of N_v/2 rows and N_y columns: a group of L (with the
-    # temporary it is formed from), QR's copy of it or of R's group, and
-    # LAPACK's column-major copy; R's two cached triangles, L's triangle,
-    # their product and its copy, of order at most N_y
-    check_memory(n_v, n_y, 8 * (3 * (n_v // 2) * n_y + 5 * n_y ** 2))
+    live = np.flatnonzero(kernel.diff)
+    n_v, nnz = kernel.mesh.n_v, len(live)
+    # three arrays of N_v/2 rows and nnz columns: a live group of L or R
+    # (or, while L's is formed, the columns it is formed from), QR's copy of
+    # it, and LAPACK's column-major copy; R's two cached triangles, L's
+    # triangle, their product and its copy, of order at most nnz
+    check_memory(n_v, kernel.quad.n_y,
+                 8 * (3 * (n_v // 2) * nnz + 5 * nnz ** 2))
+    if nnz == 0:
+        return 0.0
     cache = kernel._norm_factors
     # A's and B's first groups are one block: their norms are one entry
     keys = [("A" if which == "B" and g == 0 else which, g) for g in (0, 1)]
@@ -312,11 +325,14 @@ def operator_norm(kernel: WignerKernel, which: str) -> float:
             for key in keys:
                 if key not in cache:
                     op, g = key
-                    left = _left_group(kernel, op, g, kernel.weights)
                     if g not in cache:  # R's group g, C or S, for all three
-                        cache[g] = np.linalg.qr(kernel.tables[1 - g], "r")
-                    cache[key] = np.linalg.norm(
-                        np.linalg.qr(left, mode="r") @ cache[g].T, 2)
+                        cache[g] = np.linalg.qr(
+                            kernel.tables[1 - g][:, live], mode="r")
+                    # L's group is a temporary: it is freed before the next
+                    # group is formed
+                    left = np.linalg.qr(_left_group(
+                        kernel, op, g, kernel.weights[live], live), mode="r")
+                    cache[key] = np.linalg.norm(left @ cache[g].T, 2)
             norm = float(2 * np.max([cache[key] for key in keys]))
             if np.isfinite(norm):  # np.linalg's SVD ignores its own overflow
                 return norm

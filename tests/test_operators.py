@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from wignerlab.bvp_solver import SpatialMesh
 from wignerlab.cli import load_config, run_norms
@@ -13,7 +14,8 @@ from wignerlab.operators import (VelocityMesh, _left_group, _parity,
                                  _thin_factors, apply_A, apply_B,
                                  apply_theta, build_theta_kernel,
                                  materialize, operator_norm)
-from wignerlab.potential import PotentialProfile, barrier_profile
+from wignerlab.potential import (PotentialProfile, barrier_profile,
+                                 potential_difference)
 from wignerlab.wigner_potential import QuadratureSpec, wigner_potential
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -305,6 +307,46 @@ def test_parity_split_norm_matches_full_height_triangles(which, n_v, x):
     assert abs(operator_norm(kernel, which) - want) <= 1e-13 * want
 
 
+@settings(max_examples=60, deadline=None)
+@given(segments=st.lists(st.tuples(st.floats(-12, 12), st.floats(0, 6),
+                                   st.floats(-1, 1).filter(
+                                       lambda v: abs(v) >= 1e-3)),
+                         max_size=3),
+       x=st.floats(-15, 15), n_v=st.sampled_from([2, 4, 8, 16, 32, 64, 128]),
+       n_y=st.integers(1, 24), dy=st.sampled_from([0.25, 0.5, 1.0]),
+       window=st.floats(1.01, 4))
+# no live offset: a constant potential
+@example(segments=[], x=0.0, n_v=8, n_y=8, dy=0.5, window=2.0)
+# one live offset, y = 4 of eight: only x + y/2 = 2 meets the segment
+@example(segments=[(1.8, 0.4, 0.7)], x=0.0, n_v=16, n_y=8, dy=1.0,
+         window=2.0)
+# seven live offsets on N_v/2 = 2 positive velocities: wide triangles
+@example(segments=[(-1.5, 3.0, 0.2)], x=1.0, n_v=4, n_y=8, dy=0.5,
+         window=2.0)
+def test_live_offset_norm_matches_dense_on_random_profiles(
+        segments, x, n_v, n_y, dy, window):
+    # piecewise-constant profiles (segments as start, width, value) at a
+    # random node: the norm on the node's live offsets against the dense
+    # sampled operator's largest singular value.  Values are at least 1e-3
+    # in magnitude: the oracle's M^T M underflows below about 1e-154.
+    profile = PotentialProfile(
+        segments=tuple((a, a + w, v) for a, w, v in segments))
+    quad = QuadratureSpec(l_y=n_y * dy, dy=dy)
+    kernel = build_theta_kernel(profile, x,
+                                VelocityMesh(n_v, 1 / (2 * window * quad.l_y)),
+                                quad)
+    live = np.count_nonzero(kernel.diff)
+    for which in ("theta", "A", "B"):
+        m = materialize(kernel, which)
+        norm = operator_norm(kernel, which)
+        if live == 0:
+            np.testing.assert_array_equal(m, 0.0)
+            assert norm == 0.0
+            continue
+        dense = np.sqrt(np.linalg.eigvalsh(m.T @ m)[-1])
+        assert abs(norm - dense) <= 1e-12 * dense
+
+
 @pytest.mark.parametrize("r_h", [64, 2048, 32768])
 def test_b_left_factor_bounded_uniformly(r_h):
     # norms.cfg's kernel: |sin(v y)| and |1 - cos(v y)| are at most |v| y,
@@ -331,10 +373,11 @@ def test_norm_of_stacked_kernel_rejected(barrier, quad, n_nodes):
 
 
 def test_norm_memory_guard_counts_the_factors(monkeypatch):
-    # 64 MiB of physical memory: norms.cfg at R_h = 32768 (N_v = 65536)
+    # 36 MiB of physical memory: norms.cfg at R_h = 32768 (N_v = 65536)
     # holds its 31 MiB of S and C tables (the v > 0 rows), but not the
-    # 47 MiB of a half-height factor group and its QR copies on top
-    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2 ** 14}
+    # 9.8 MiB of a half-height live group (13 of the 62 offsets) and its QR
+    # copies on top
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 36 * 2 ** 8}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     cfg = load_config(CONFIG_DIR / "norms.cfg")
     kernel = build_theta_kernel(cfg.profile(), cfg.norm_position,
@@ -352,7 +395,8 @@ def test_norm_memory_guard_counts_the_factors(monkeypatch):
 
 def test_norms_level_factors_seven_blocks(monkeypatch, tmp_path):
     # theta, A and B share R's triangles of C and S, and A's and B's first
-    # left groups are one block: five left blocks and two right ones
+    # left groups are one block: five left blocks and two right ones, each
+    # of the N_v/2 = R_h positive velocities and the node's live offsets
     calls = []
     qr = np.linalg.qr
 
@@ -364,13 +408,17 @@ def test_norms_level_factors_seven_blocks(monkeypatch, tmp_path):
     cfg = load_config(CONFIG_DIR / "norms.cfg")
     run_norms(cfg, tmp_path)
     assert len(calls) == 7 * len(cfg.levels)
+    nnz = np.count_nonzero(potential_difference(
+        cfg.profile(), cfg.norm_position, cfg.quad().offsets))
+    assert nnz == 13 < cfg.quad().n_y
+    assert calls == [(r_h, nnz) for r_h in cfg.levels for _ in range(7)]
 
 
 @pytest.mark.parametrize("r_h", [32, 256])
 def test_norm_independent_of_the_order_asked(r_h):
     # each norm is bitwise the same whether asked first, last or alone on
     # a fresh kernel, and bitwise the 2 max_g |T_L,g T_R,g^T|_2 of the
-    # groups of the whole thin factors
+    # live columns (D_V != 0) of the groups of the whole thin factors
     cfg = load_config(CONFIG_DIR / "norms.cfg")
     mesh = VelocityMesh(2 * r_h, 1 / (2 * r_h))
 
@@ -384,9 +432,10 @@ def test_norm_independent_of_the_order_asked(r_h):
         left = np.hstack([_left_group(kernel, which, g, kernel.weights)
                           for g in (0, 1)])
         right = _thin_factors(kernel, which)[1]
+        live = np.flatnonzero(kernel.diff)
         want = 2 * max(float(np.linalg.norm(
-            np.linalg.qr(left[:, g], mode="r")
-            @ np.linalg.qr(right[:, g], mode="r").T, 2))
+            np.linalg.qr(left[:, g][:, live], mode="r")
+            @ np.linalg.qr(right[:, g][:, live], mode="r").T, 2))
             for g in (slice(None, n_y), slice(n_y, None)))
         assert want > 0
         assert operator_norm(fresh(), which) == want
