@@ -13,8 +13,9 @@ values remain unknowns.  The resulting matrix is block pentadiagonal with
 *diagonal* off-diagonal blocks.  Its diagonal blocks, the stencil's diagonal
 minus the node's velocity operator, are never formed: the system keeps each
 node's potential differences and applies A or B through the sine and cosine
-factors of `operators`, so a product costs O(N_x N_v N_y) and the system
-takes O(N_x N_v) memory.
+factors of `operators` on the kernel's live offsets J, those y_j where
+D_V(x_i, y_j) is nonzero at some node, so a product costs O(N_x N_v |J|)
+and the system takes O(N_x N_v) memory.
 
 The upwind stencil is the same for every v of one sign, so the system stores
 it once, as the three bands of one lower-triangular matrix of order N_x+1
@@ -24,14 +25,15 @@ both signs of v.  After the sweep the system is the identity plus the
 coupling L diag(w_i, w_i) R^T at node i, with thin factors L and R the same
 at every node, so the solver runs GMRES on the nodes' weighted moments
 diag(w_i, w_i) R^T f_i: two per nonzero potential difference D_V(x_i, y_j),
-at most 2*N_y per node whatever N_v is, the inflow ends included, whose
-inflow rows the reduced products zero.  The velocity mesh is symmetric, so
-only the v > 0 rows of L and R are formed.  The sweep acts along x alone,
-so it commutes with the products over v, and an iteration sweeps
-(N_x+1, 4*N_y) projections of the grid instead of the grid: its cost does
-not depend on N_v.  Because the discrete B[V] is bounded uniformly in the
-velocity mesh, the number of iterations of the 'improved' scheme does not
-grow as the mesh is refined either.
+at most 2*|J| per node whatever N_v is, the inflow ends included, whose
+inflow rows the reduced products zero.  L and R have 2*|J| columns, so the
+table H of their products has order 2*|J|.  The velocity mesh is
+symmetric, so only the v > 0 rows of L and R are formed.  The sweep acts
+along x alone, so it commutes with the products over v, and an iteration
+sweeps (N_x+1, 4*|J|) projections of the grid instead of the grid: its
+cost does not depend on N_v.  Because the discrete B[V] is bounded
+uniformly in the velocity mesh, the number of iterations of the 'improved'
+scheme does not grow as the mesh is refined either.
 """
 
 from __future__ import annotations
@@ -246,12 +248,13 @@ def _lift(system: BlockSystem, data: np.ndarray, left: np.ndarray,
     coupling L W R^T into the other half of its row; the v < 0 rows of L
     and R are J L_+ and J R_+ times the signs of `operators._parity`.  Every
     other row of b, the inflow rows among them, is zero, so this costs
-    O(N_v N_y) where the product with the system costs a grid pass.
+    O(N_v n_j), n_j the kernel's live offsets, where the product with the
+    system costs a grid pass.
     """
     n_x, n_v = system.smesh.n_x, system.vmesh.n_v
     half = n_v // 2
-    n_y = right.shape[1] // 2
-    parity = _parity(n_y, n_y)  # of L's and R's columns
+    n_j = right.shape[1] // 2
+    parity = _parity(n_j, n_j)  # of L's and R's columns
     w_0, w_n = np.tile(system.coupling.weights[[0, n_x]], 2)
     d_0, d_n = data
     b = np.zeros((n_x + 1, n_v))
@@ -270,19 +273,20 @@ def _coupling_products(left: np.ndarray,
 
     The mesh is symmetric, v_{-n-1} = -v_n, so with J reversing the v > 0
     half, the v < 0 rows of L and of R are J L_+ diag(I, -I) and
-    J R_+ diag(I, -I): the first N_y columns of each are even in v and the
-    rest odd (`operators._parity`).  So H_- is H_+ with its
+    J R_+ diag(I, -I): the first half of the columns of each is even in v
+    and the rest odd (`operators._parity`).  So H_- is H_+ with its
     off-diagonal parity blocks negated, and L = [J L_1+, -J L_2+; L_1+,
     L_2+], whose two column groups are orthogonal, has
     ||L||_2 = sqrt(2) max_g ||L_g+||_2 (Cantoni & Butler, Linear Algebra
     Appl. 13, 1976); each ||L_g+||_2 is the square root of the largest
-    eigenvalue of the Gram matrix L_g+^T L_g+, of order N_y.
+    eigenvalue of the Gram matrix L_g+^T L_g+, of order n_j, the number of
+    the kernel's live offsets, at least one.
     """
-    n_y = right.shape[1] // 2
-    parity = _parity(n_y, n_y)
+    n_j = right.shape[1] // 2
+    parity = _parity(n_j, n_j)
     h = left.T @ right
     gram = max(np.linalg.eigvalsh(left[:, g].T @ left[:, g])[-1]
-               for g in (slice(None, n_y), slice(n_y, None)))
+               for g in (slice(None, n_j), slice(n_j, None)))
     return (np.hstack([-parity[:, None] * h * parity, h]),
             float(np.sqrt(2 * gram)))
 
@@ -370,15 +374,20 @@ def solve(system: BlockSystem) -> WignerSolution:
 
     the capacitance form of the Woodbury identity (Hager 1989).  u_i is
     zero wherever node i's differences are, so GMRES solves for the
-    2 nnz(D_V) live entries of u alone, from u = 0, whatever N_v is; with
-    none live, u is empty and f = T^-1 b after no iteration.  The true
-    residual of A T^-1 y = b at y = b + P L u is P L times the reduced
-    residual, which is zero off the live entries, and ||P|| <= 1, so GMRES
-    stops at GMRES_TOL ||b|| / ||L||_2: then the true residual is at most
-    GMRES_TOL times the norm of b, the forcing the data exert on the
-    interior rows.  On a fine mesh roundoff may set the reduced residual's
-    floor above that; GMRES stops there too, once a restart makes no
-    progress (`_gmres`), and the residual check below decides.
+    2 nnz(D_V) live entries of u alone, from u = 0, whatever N_v is.  L and
+    R hold the columns of the kernel's n_j live offsets alone
+    (`operators.WignerKernel`), the offsets where some node's D_V is
+    nonzero: u is zero off them, so dropping the others changes no
+    product.  With no offset live, nothing is coupled and f = T^-1 b, with
+    no iteration and no norm of L.  The true residual of A T^-1 y = b at
+    y = b + P L u is P L times the reduced residual, which is zero off the
+    live entries, and ||P|| <= 1, so GMRES stops at
+    GMRES_TOL ||b|| / ||L||_2, L on the live offsets: then the true
+    residual is at most GMRES_TOL times the norm of b, the forcing the data
+    exert on the interior rows.  On a fine mesh roundoff may set the
+    reduced residual's floor above that; GMRES stops there too, once a
+    restart makes no progress (`_gmres`), and the residual check below
+    decides.
 
     T^-1 acts along x alone and is the same for every v of one sign, so it
     commutes with the products over v (the mixed-product rule of Kronecker
@@ -389,8 +398,8 @@ def solve(system: BlockSystem) -> WignerSolution:
         W_i sum_s sum_j T_s^-1[i, j] H_s^T u_j,   H_s = L_s^T R_s,
 
     with H_+ tabulated once and H_- from it (`_coupling_products`).  An
-    iteration sweeps the (N_x+1, 4 N_y) array of the [u_j H_-, u_j H_+]
-    and costs O((N_x+1) N_y^2) whatever N_v is.  The array's v < 0 half
+    iteration sweeps the (N_x+1, 4 n_j) array of the [u_j H_-, u_j H_+]
+    and costs O((N_x+1) n_j^2) whatever N_v is.  The array's v < 0 half
     runs backwards in x, so its row 0 holds both inflow rows, node 0's
     v > 0 half and node N_x's v < 0 half: P zeroes that row.  A and B
     share R and differ only in L, so both schemes run the same iteration.
@@ -400,7 +409,7 @@ def solve(system: BlockSystem) -> WignerSolution:
     [0, half:] and [N_x, :half] of the grid), so b is the data moved by
     the stencil into rows 1 and 2 of its sign and by the ends' couplings
     into the other half of their rows: only those six rows are formed and
-    projected, in O(N_v N_y).  The grid is swept once, for f.
+    projected, in O(N_v n_j).  The grid is swept once, for f.
 
     The data are divided by the power of two that brings their largest
     entry into [1/2, 1), so that no norm, the residual check's included,
@@ -416,13 +425,12 @@ def solve(system: BlockSystem) -> WignerSolution:
     kernel = system.coupling
     which = "A" if system.scheme == "original" else "B"
     left, right = _thin_factors(kernel, which)
-    n_y = right.shape[1] // 2
-    parity = _parity(n_y, n_y)  # of L's and R's columns
+    n_j = right.shape[1] // 2  # the kernel's live offsets
+    parity = _parity(n_j, n_j)  # of L's and R's columns
     weights = np.tile(kernel.weights, 2)  # the diagonals of the W_i
     coupled = np.flatnonzero(weights.any(axis=-1))
     weights = weights[coupled]
     live = weights != 0
-    h, left_norm = _coupling_products(left, right)
 
     def full(u: np.ndarray) -> np.ndarray:  # u at the coupled nodes
         out = np.zeros(live.shape)
@@ -434,16 +442,16 @@ def solve(system: BlockSystem) -> WignerSolution:
     # [-H_-, H_+] to match: D negates row 0 of p, which P zeroes.
     def spread(u: np.ndarray) -> np.ndarray:  # p of y = P L u
         x = full(u) @ h
-        p = np.zeros((n_x + 1, 4 * n_y))
-        p[n_x - coupled, :2 * n_y] = x[:, :2 * n_y]
-        p[coupled, 2 * n_y:] = x[:, 2 * n_y:]
+        p = np.zeros((n_x + 1, 4 * n_j))
+        p[n_x - coupled, :2 * n_j] = x[:, :2 * n_j]
+        p[coupled, 2 * n_j:] = x[:, 2 * n_j:]
         p[0] = 0.0  # P
         return p
 
     def reduce(p: np.ndarray) -> np.ndarray:  # V^T y from p of y
         # the sweep acts along x alone, so it commutes with R
         _sweep(blocks, p)
-        z = p[::-1, :2 * n_y] + p[:, 2 * n_y:]
+        z = p[::-1, :2 * n_j] + p[:, 2 * n_j:]
         return (weights * z[coupled])[live]
 
     exponent = np.frexp(np.abs(system.data).max())[1]
@@ -452,16 +460,20 @@ def solve(system: BlockSystem) -> WignerSolution:
         with np.errstate(over="raise", invalid="raise"):
             blocks = _sweep_blocks(system.stencil)
             b = _lift(system, data, left, right)
-            rows = np.r_[:3, n_x - 2:n_x + 1]  # of b that can be nonzero
-            p = np.zeros((n_x + 1, 4 * n_y))  # of b
-            p[rows, 2 * n_y:] = b[rows, half:] @ right
-            p[n_x - rows, :2 * n_y] = (b[rows, :half] @ right[::-1]) * -parity
-            u, iterations = _gmres(
-                lambda u: u - reduce(spread(u)), reduce(p),
-                GMRES_TOL * np.linalg.norm(b) / left_norm)
-            u = full(u)  # y = b + P L u
-            b[coupled, :half] += ((parity * u) @ left.T)[:, ::-1]
-            b[coupled, half:] += u @ left.T
+            iterations = 0
+            if n_j:  # else nothing is coupled: f = T^-1 b
+                h, left_norm = _coupling_products(left, right)
+                rows = np.r_[:3, n_x - 2:n_x + 1]  # of b that can be nonzero
+                p = np.zeros((n_x + 1, 4 * n_j))  # of b
+                p[rows, 2 * n_j:] = b[rows, half:] @ right
+                p[n_x - rows, :2 * n_j] = (
+                    (b[rows, :half] @ right[::-1]) * -parity)
+                u, iterations = _gmres(
+                    lambda u: u - reduce(spread(u)), reduce(p),
+                    GMRES_TOL * np.linalg.norm(b) / left_norm)
+                u = full(u)  # y = b + P L u
+                b[coupled, :half] += ((parity * u) @ left.T)[:, ::-1]
+                b[coupled, half:] += u @ left.T
             del left, right  # the residual check forms its own pair
             b[0, half:] = b[n_x, :half] = 0.0  # P; b is zero there
             _sweep(blocks, b[::-1, :half], -1.0)

@@ -112,8 +112,9 @@ def constraint_residual(sol: WignerSolution) -> float:
 
     with V_w(x_i, v_n) = (S w_i)_n from the sine table S and the weights
     w_i of `sol.coupling`, the factors the solve used, and including the
-    boundary nodes in the maximum.  The kernel holds S on v > 0; S is odd
-    in v, so its v < 0 rows follow by `operators._parity`.
+    boundary nodes in the maximum.  The kernel holds S on v > 0 and on its
+    live offsets, where w_i can be nonzero; S is odd in v, so its v < 0 rows
+    follow by `operators._parity`.
     The h = dv/(2*pi) scaling expresses the moment in the units of the
     assembled operator rows, making values comparable across refinement
     levels; for a convergent scheme family S decays linearly in the mesh
@@ -126,7 +127,7 @@ def constraint_residual(sol: WignerSolution) -> float:
                             "velocity mesh and N_x + 1 nodes")
     sin, _ = kernel.tables
     w = kernel.weights
-    v_w = np.hstack([((_parity(0, kernel.quad.n_y) * w) @ sin.T)[:, ::-1],
+    v_w = np.hstack([((_parity(0, sin.shape[1]) * w) @ sin.T)[:, ::-1],
                      w @ sin.T])
     return sol.vmesh.h * max(abs(float(np.dot(row, row_w)) * sol.vmesh.dv)
                              for row, row_w in zip(sol.values, v_w))

@@ -11,6 +11,12 @@ sin(y(v_n - v_m)) = sin(y v_n) cos(y v_m) - cos(y v_n) sin(y v_m),
 
 of rank at most 2*N_y whatever N_v is (Frensley, Phys. Rev. B 36, 1570,
 1987).  A kernel stores D_V(x, y_j); S and C are the same at every node.
+W is zero wherever D_V is, so an offset y_j where D_V vanishes at every
+node of the kernel adds nothing to M: the kernel keeps the columns of S, C
+and W on its live offsets J = {j : D_V(x, y_j) != 0 at some node} alone
+(`live_offsets`, the rule `sine_sum` skips by), and M = S_J W_J C_J^T -
+C_J W_J S_J^T exactly.  Every product and norm below runs on those |J|
+columns; a kernel with no live offset has zero-column factors.
 
     theta: g = 2*pi*h * M f                     (bounded)
     A:     g_n = (theta f)_n / v_n              (singular as v_n -> 0)
@@ -25,18 +31,17 @@ V_w is odd in v, so -a = S w, and B's row joins the -C W S^T term of M:
 with 1 the all-ones matrix.  Both sin(v y)/v and (1 - cos(v y))/v are at
 most y, so B's left factor is bounded uniformly in the velocity mesh;
 A's, with cos(v y)/v, is not.  Products and norms go through the factors,
-O(N_v N_y) per node, so nothing of size N_v^2 is formed.  The mesh is
+O(N_v |J|) per node, so nothing of size N_v^2 is formed.  The mesh is
 symmetric, v_{-n-1} = -v_n, so S is odd and C is even: theta is
 skew-centrosymmetric and A and B are centrosymmetric.  A kernel therefore
 holds S and C on the v > 0 velocities only, and every product reads the
 v < 0 rows of a factor by one rule (`_parity`): row v_{-n-1} is row v_n
 with its odd columns negated.  An even/odd change of basis splits each
-operator into two blocks of order at most N_y (Cantoni & Butler, Linear
-Algebra Appl. 13, 1976), which `operator_norm` factors on the node's live
-offsets only, J = {j : D_V(x, y_j) != 0}: W is zero off J, so the blocks
-have order at most nnz(D_V(x, .)).  The factors are shared per kernel: R
-is the same for theta, A and B, and A's and B's first groups of L are one
-block, so the three norms at a node take seven QRs.
+operator into two blocks of order at most |J| (Cantoni & Butler, Linear
+Algebra Appl. 13, 1976), which `operator_norm` factors; at one node |J| is
+nnz(D_V(x, .)).  The factors are shared per kernel: R is the same for
+theta, A and B, and A's and B's first groups of L are one block, so the
+three norms at a node take seven QRs.
 
 A kernel may stack several nodes' D_V along a leading axis, sampled in one
 call; the operators then act on each node's row of f with that node's
@@ -59,7 +64,8 @@ from .errors import (ConfigurationError, ContractError, ResourceError,
                      SolverError)
 from .potential import PotentialProfile, potential_difference
 # `wigner_potential` is not called here; the benchmark's tracer looks it up
-from .wigner_potential import QuadratureSpec, sine_sum, wigner_potential
+from .wigner_potential import (QuadratureSpec, live_offsets, sine_sum,
+                               wigner_potential)
 
 __all__ = ["VelocityMesh", "WignerKernel", "build_theta_kernel",
            "apply_theta", "apply_A", "apply_B", "materialize",
@@ -102,9 +108,13 @@ class WignerKernel:
     """diff[..., j-1] = D_V(x, j*dy), j = 1 .. N_y; nodes stack on a leading
     axis.  `symbol` and `shift` are V_w sampled from it by `sine_sum`,
     bitwise as `wigner_potential` gives them: symbol[..., k + N_v - 1] =
-    V_w(x, k*dv) for |k| < N_v and shift[..., m] = V_w(x, -v_m).  `tables`
-    are the v > 0 rows of S and C, shape (N_v/2, N_y), computed once per
-    kernel; their v < 0 rows follow by `_parity`.
+    V_w(x, k*dv) for |k| < N_v and shift[..., m] = V_w(x, -v_m).  `live`
+    holds the kernel's live offsets J, the indices j-1 where D_V is nonzero
+    at some node (`live_offsets`).  `tables` are the v > 0 rows of S and C
+    on J, shape (N_v/2, |J|), and `weights` the diagonals of W on J, shape
+    diff.shape[:-1] + (|J|,), each computed once per kernel; the v < 0 rows
+    of the tables follow by `_parity`.  Every reader takes the width |J|
+    from them; only the sampled `symbol` and `shift` read all N_y offsets.
     """
 
     diff: np.ndarray
@@ -121,9 +131,13 @@ class WignerKernel:
         return sine_sum(self.diff, -self.mesh.nodes, self.quad.dy)
 
     @cached_property
+    def live(self) -> np.ndarray:
+        return live_offsets(self.diff)
+
+    @cached_property
     def tables(self) -> tuple[np.ndarray, np.ndarray]:
         v = self.mesh.nodes[self.mesh.n_v // 2:]
-        phase = np.multiply.outer(v, self.quad.offsets)
+        phase = np.multiply.outer(v, self.quad.offsets[self.live])
         return np.sin(phase), np.cos(phase)
 
     @cached_property
@@ -134,14 +148,16 @@ class WignerKernel:
         products, keyed (operator, group)."""
         return {}
 
-    @property
-    def weights(self) -> np.ndarray:  # the diagonal of W
-        return -(self.quad.dy / np.pi) * self.diff
+    @cached_property
+    def weights(self) -> np.ndarray:  # the diagonal of W on the live offsets
+        return -(self.quad.dy / np.pi) * self.diff[..., self.live]
 
 
 def check_memory(n_v: int, n_y: int, extra: int = 0) -> None:
     """Refuse a kernel whose quadrature nodes, differences, the N_v/2 rows
-    of S and C, plus `extra` bytes, would not fit in physical memory."""
+    of S and C, plus `extra` bytes, would not fit in physical memory.  The
+    tables are counted on all n_y offsets, an upper bound on the live ones,
+    since the guard runs before the differences are sampled."""
     need = 8 * n_y * (n_v + 2) + extra
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
@@ -176,9 +192,9 @@ def _check_length(kernel: WignerKernel, f: np.ndarray) -> np.ndarray:
 def _parity(n_even: int, n_odd: int) -> np.ndarray:
     """The mirror rule of a factor whose first n_even columns are even in v
     and the other n_odd odd: the mesh is symmetric, v_{-n-1} = -v_n, so its
-    row v_{-n-1} is row v_n times these signs.  R = [C, S] and the L of A
-    and B, which divide by the odd v, take (N_y, N_y), theta's L their
-    negative, and S alone (0, N_y)."""
+    row v_{-n-1} is row v_n times these signs.  On the |J| live offsets,
+    R = [C, S] and the L of A and B, which divide by the odd v, take
+    (|J|, |J|), theta's L their negative, and S alone (0, |J|)."""
     return np.repeat([1.0, -1.0], [n_even, n_odd])
 
 
@@ -187,7 +203,8 @@ def _apply(kernel: WignerKernel, f, which: str) -> np.ndarray:
     L diag(w, w) R^T f through the v > 0 rows of the thin factors."""
     f = _check_length(kernel, f)
     left, right = _thin_factors(kernel, which)
-    half, signs = len(right), _parity(kernel.quad.n_y, kernel.quad.n_y)
+    half, n_j = len(right), right.shape[1] // 2  # n_j = |J|
+    signs = _parity(n_j, n_j)
     moments = np.tile(kernel.weights, 2) * (
         f[..., half:] @ right + signs * (f[..., :half] @ right[::-1]))
     out = np.empty(f.shape)
@@ -235,13 +252,12 @@ def materialize(kernel: WignerKernel, which: str) -> np.ndarray:
 
 
 def _left_group(kernel: WignerKernel, which: str, group: int,
-                weights=1.0, live=slice(None)) -> np.ndarray:
+                weights=1.0) -> np.ndarray:
     """The v > 0 rows of column group 0 or 1 of theta's, A's or B's L (see
-    `_thin_factors`), on the offsets `live` (all N_y by default), with
-    `weights` for those offsets' diagonal entries of W."""
+    `_thin_factors`) on the kernel's live offsets, with `weights` for their
+    diagonal entries of W."""
     sin, cos = kernel.tables
-    left = (sin[:, live] if group == 0 else 1 - cos[:, live] if which == "B"
-            else -cos[:, live]) * weights
+    left = (sin if group == 0 else 1 - cos if which == "B" else -cos) * weights
     left *= 2 * np.pi * kernel.mesh.h
     if which != "theta":
         left /= kernel.mesh.nodes[kernel.mesh.n_v // 2:, None]
@@ -255,9 +271,10 @@ def _thin_factors(kernel: WignerKernel,
     n of L by v_n; B is A with 1 - C in place of -C, bounded because
     |sin(v y)| and |1 - cos(v y)| are at most |v| y.
 
-    Returns the v > 0 rows of L, at weights 1, and of R; `_parity` gives
-    the v < 0 rows.  The pair is the same at every node: the operator is
-    L diag(w, w) R^T, its nodes' weights moved to the right.
+    Returns the v > 0 rows of L, at weights 1, and of R, on the kernel's
+    live offsets J: 2|J| columns each, zero when no offset is live.
+    `_parity` gives the v < 0 rows.  The pair is the same at every node:
+    the operator is L diag(w, w) R^T, its nodes' weights moved to the right.
     """
     if which not in ("theta", "A", "B"):
         raise ContractError(f"unknown operator {which!r}")
@@ -274,8 +291,8 @@ def operator_norm(kernel: WignerKernel, which: str) -> float:
     sqrt(2) X_+ (the v > 0 rows of X) in the top half if X is even in v and
     in the bottom half if it is odd.  In the thin factors L R^T of
     `_thin_factors` every column is even or odd: S is odd, C and 1 - C are
-    even, and A and B divide L by the odd v.  The pairs of the first N_y
-    columns (S W / v with C) and of the rest (-C W / v, or (1 - C) W / v,
+    even, and A and B divide L by the odd v.  The pairs of the first half
+    of the columns (S W / v with C) and of the rest (-C W / v, or (1 - C) W / v,
     with S) land in two blocks of Pi^T (L R^T) Pi that share no block row
     and no block column (Cantoni & Butler, Linear Algebra Appl. 13, 1976),
     so
@@ -283,12 +300,12 @@ def operator_norm(kernel: WignerKernel, which: str) -> float:
         |op|_2 = 2 max_g |T_L,g T_R,g^T|_2,
 
     with T_L,g and T_R,g the QR triangles of the v > 0 rows of group g of L
-    and R.  W is zero off the node's live offsets J = {j : D_V(x, y_j) !=
-    0}, so L_g W R_g^T = L_g,J W_J R_g,J^T: only the N_v/2 x nnz(D_V) live
-    columns of each group are formed, one group at a time, and each
-    triangle has order at most nnz(D_V), not N_y.  A QR then costs
-    O(N_v nnz^2) and the SVD of the product has order nnz.  A node with no
-    live offset has norm 0.
+    and R.  The kernel's tables hold the node's live offsets, where
+    D_V(x, y_j) != 0, alone, so each group has N_v/2 x nnz(D_V) columns,
+    formed one group at a time, and each triangle has order at most
+    nnz(D_V), not N_y.  A QR then costs O(N_v nnz^2) and the SVD of the
+    product has order nnz.  A node with no live offset has norm 0, with no
+    QR.
 
     The factors are shared per kernel: R's two triangles serve all three
     operators, and A's and B's first groups are one block, 2*pi*h S W / v,
@@ -307,12 +324,12 @@ def operator_norm(kernel: WignerKernel, which: str) -> float:
         raise ContractError(
             f"operator_norm takes a one-node kernel, got nodes of shape "
             f"{kernel.diff.shape[:-1]}")
-    live = np.flatnonzero(kernel.diff)
-    n_v, nnz = kernel.mesh.n_v, len(live)
-    # three arrays of N_v/2 rows and nnz columns: a live group of L or R
-    # (or, while L's is formed, the columns it is formed from), QR's copy of
-    # it, and LAPACK's column-major copy; R's two cached triangles, L's
-    # triangle, their product and its copy, of order at most nnz
+    n_v, nnz = kernel.mesh.n_v, len(kernel.live)
+    # three arrays of N_v/2 rows and nnz columns: a column-major copy of a
+    # group of L or R (or, while L's is formed, the columns it is formed
+    # from), QR's copy of it, and LAPACK's column-major copy; R's two cached
+    # triangles, L's triangle, their product and its copy, of order at most
+    # nnz
     check_memory(n_v, kernel.quad.n_y,
                  8 * (3 * (n_v // 2) * nnz + 5 * nnz ** 2))
     if nnz == 0:
@@ -325,13 +342,17 @@ def operator_norm(kernel: WignerKernel, which: str) -> float:
             for key in keys:
                 if key not in cache:
                     op, g = key
+                    # QR hands LAPACK a column-major copy of its input, made
+                    # one strided column at a time from a row-major array:
+                    # a column-major group makes that copy contiguous
                     if g not in cache:  # R's group g, C or S, for all three
                         cache[g] = np.linalg.qr(
-                            kernel.tables[1 - g][:, live], mode="r")
-                    # L's group is a temporary: it is freed before the next
-                    # group is formed
-                    left = np.linalg.qr(_left_group(
-                        kernel, op, g, kernel.weights[live], live), mode="r")
+                            np.asfortranarray(kernel.tables[1 - g]), mode="r")
+                    # L's group is a temporary, freed before its QR and
+                    # before the next group is formed
+                    left = np.asfortranarray(
+                        _left_group(kernel, op, g, kernel.weights))
+                    left = np.linalg.qr(left, mode="r")
                     cache[key] = np.linalg.norm(left @ cache[g].T, 2)
             norm = float(2 * np.max([cache[key] for key in keys]))
             if np.isfinite(norm):  # np.linalg's SVD ignores its own overflow

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .potential import PotentialProfile, potential_difference
 
-__all__ = ["QuadratureSpec", "sine_sum", "wigner_potential"]
+__all__ = ["QuadratureSpec", "live_offsets", "sine_sum", "wigner_potential"]
 
 
 @dataclass(frozen=True)
@@ -61,13 +61,20 @@ class QuadratureSpec:
         return np.arange(1, self.n_y + 1) * self.dy
 
 
+def live_offsets(d_v: np.ndarray) -> np.ndarray:
+    """The live offsets of stacked differences d_v[..., j-1] = D_V(x, j*dy):
+    the ascending indices j-1 where D_V is nonzero at some node.  A term of
+    the sine sum at any other offset is zero at every node."""
+    return np.flatnonzero(np.any(d_v.reshape(-1, d_v.shape[-1]), axis=0))
+
+
 def sine_sum(d_v: np.ndarray, v, dy: float) -> np.ndarray:
-    """-(dy/pi) * sum_j d_v[..., j-1] * sin(j*dy*v), in ascending j, skipping
-    a j where every node's D_V is zero; shape d_v.shape[:-1] + v.shape."""
+    """-(dy/pi) * sum_j d_v[..., j-1] * sin(j*dy*v), in ascending j, over the
+    `live_offsets` of d_v; shape d_v.shape[:-1] + v.shape."""
     v = np.asarray(v, dtype=float)
     y = np.arange(1, d_v.shape[-1] + 1) * dy
     acc = np.zeros(d_v.shape[:-1] + v.shape)
-    for j in np.flatnonzero(np.any(d_v.reshape(-1, y.size), axis=0)):
+    for j in live_offsets(d_v):
         acc += np.multiply.outer(d_v[..., j], np.sin(y[j] * v))
     return -(dy / np.pi) * acc
 

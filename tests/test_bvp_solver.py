@@ -16,7 +16,8 @@ from wignerlab.bvp_solver import (RESIDUAL_TOL, BoundaryConditions,
                                   solve_bvp)
 from wignerlab.cli import load_config
 from wignerlab.errors import ConfigurationError, ResourceError, SolverError
-from wignerlab.operators import VelocityMesh, _thin_factors, build_theta_kernel
+from wignerlab.operators import (VelocityMesh, _thin_factors,
+                                 build_theta_kernel, operator_norm)
 from wignerlab.potential import PotentialProfile, barrier_profile
 from wignerlab.wigner_potential import QuadratureSpec
 
@@ -212,6 +213,28 @@ def test_solve_with_coupled_inflow_ends_matches_dense_solve(barrier, scheme,
     assert np.abs(sol.values.ravel() - dense).max() <= 1e-11 * scale
 
 
+@pytest.mark.parametrize("scheme", ["original", "improved"])
+def test_solve_with_dead_offsets_matches_brute_force(barrier, scheme):
+    # On a 4-long device with L_y = 8 no node lies within y/2 of the
+    # barrier's edges once y > 7, so y = 7.5 and 8 are dead at every node
+    # and the kernel drops them.  The dense assembly written from the
+    # scheme's definition on all N_y offsets is the oracle, at criterion
+    # 6's bound.
+    smesh, vmesh = SpatialMesh(length=4, n_x=6), VelocityMesh(8, 1 / 32)
+    quad = QuadratureSpec(l_y=8, dy=0.5)
+    bc = gaussian_bc()
+    system = assemble_system(barrier, smesh, vmesh, quad, scheme, bc)
+    live = system.coupling.diff.any(axis=0)
+    np.testing.assert_array_equal(np.flatnonzero(~live), [14, 15])
+    assert system.coupling.tables[0].shape == (4, 14)
+    mat, rhs = brute_force_dense(barrier, smesh, vmesh, quad, scheme, bc)
+    dense = np.linalg.solve(mat, rhs)
+    sol = solve(system)
+    assert sol.iterations > 0
+    scale = max(1.0, np.abs(dense).max())
+    assert np.abs(sol.values.ravel() - dense).max() <= 1e-11 * scale
+
+
 @settings(max_examples=60, deadline=None)
 @given(n_x=st.integers(4, 12), n_v=st.sampled_from([4, 6, 8, 10, 12, 14, 16]),
        height=st.floats(-2.0, 2.0), scheme=st.sampled_from(["original",
@@ -291,6 +314,34 @@ def test_constant_potential_needs_no_iterations(quad, scheme):
     assert sol.iterations == 0
 
 
+def test_constant_potential_factors_nothing(quad, monkeypatch):
+    # A constant potential has no live offset: the kernel's tables and
+    # weights have no column, a solve is the transport sweep alone, with
+    # no GMRES and no norm of L, and every operator norm is 0 with no QR.
+    calls = []
+    for name in ("qr", "eigvalsh"):
+        def counted(*args, _name=name, _f=getattr(np.linalg, name),
+                    **kwargs):
+            calls.append(_name)
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    monkeypatch.setattr(bvp_solver, "_gmres", lambda *args: calls.append(
+        "gmres"))
+    profile = PotentialProfile(segments=(), default_value=0.3)
+    vmesh = VelocityMesh(8, 1 / 32)
+    for scheme in ("original", "improved"):
+        sol = solve_bvp(profile, SpatialMesh(length=50, n_x=8), vmesh, quad,
+                        scheme, gaussian_bc())
+        assert sol.iterations == 0
+        assert [t.shape for t in sol.coupling.tables] == [(4, 0), (4, 0)]
+        assert sol.coupling.weights.shape == (9, 0)
+    kernel = build_theta_kernel(profile, 0.0, vmesh, quad)
+    for which in ("theta", "A", "B"):
+        assert operator_norm(kernel, which) == 0.0
+    assert calls == []
+
+
 def test_schemes_differ_by_rank_one_coupling(barrier, quad):
     smesh = SpatialMesh(length=10, n_x=6)
     vmesh = VelocityMesh(8, 1 / 32)
@@ -328,15 +379,20 @@ def test_coupled_solve_without_dense_blocks(barrier, quad, scheme):
 @pytest.mark.parametrize("n_v, h", [(12, 1 / 32), (24, 1 / 12)])
 def test_parity_split_products_match_full_height_factors(barrier, which,
                                                          n_v, h):
-    # N_y = 8.  At N_v = 12 < 2 N_y the left factor L is wide; at N_v = 24
-    # it is tall.  L and R built on every velocity from the full-height
-    # tables are the oracle for what the solver builds from their v > 0
-    # rows: H_+ as their product, H_- from it by the parity signs, and
-    # ||L||_2 from the two column groups.
+    # N_y = 8, of which y = 0.5 is dead at x = 1 (both ends of the span
+    # on the barrier), so |J| = 7.  At N_v = 12 < 2 |J| the left factor L
+    # is wide; at N_v = 24 it is tall.  The live columns of L and R built
+    # on every velocity and offset from the full-height tables are the
+    # oracle for what the solver builds from their v > 0 rows: H_+ as
+    # their product, H_- from it by the parity signs, and ||L||_2 from the
+    # two column groups.
     kernel = build_theta_kernel(barrier, 1.0, VelocityMesh(n_v, h),
                                 QuadratureSpec(l_y=4, dy=0.5))
     half = n_v // 2
-    left, right = full_height_factors(kernel, which)
+    live = np.flatnonzero(kernel.diff)
+    np.testing.assert_array_equal(live, np.arange(1, 8))
+    left, right = (factor[:, np.r_[live, 8 + live]]
+                   for factor in full_height_factors(kernel, which))
     h_table, norm = _coupling_products(*_thin_factors(kernel, which))
     cols = right.shape[1]
     want_plus = left[half:].T @ right[half:]

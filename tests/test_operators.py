@@ -36,13 +36,31 @@ def kernel_at(barrier, quad, x=10.0, n_v=8, h=1 / 16):
 
 
 def full_height_tables(kernel):
-    # S and C on every velocity, independent of the kernel's v > 0 tables
+    # S and C on every velocity and all N_y offsets, independent of the
+    # kernel's tables on v > 0 and its live offsets
     phase = np.multiply.outer(kernel.mesh.nodes, kernel.quad.offsets)
     return np.sin(phase), np.cos(phase)
 
 
+def full_weights(kernel):
+    # the diagonal of W on all N_y offsets, from the differences
+    return -(kernel.quad.dy / np.pi) * kernel.diff
+
+
+def dense_norm(m):
+    # the largest singular value of m, as the square root of the largest
+    # eigenvalue of M^T M: a full SVD of m takes about three times as long
+    # at N_v = 2048, and the two agree to 1e-14 relative.  M is m scaled by
+    # the power of two that brings its largest entry into [1/2, 1), exactly,
+    # so that M^T M neither underflows nor overflows whatever the scale of m.
+    e = np.frexp(np.abs(m).max())[1]
+    m = np.ldexp(m, -e)
+    return np.ldexp(np.sqrt(np.linalg.eigvalsh(m.T @ m)[-1]), e)
+
+
 def full_height_factors(kernel, which, weights=1.0):
-    # L and R of `_thin_factors` on every velocity, from the full tables
+    # L and R of `_thin_factors` on every velocity and all N_y offsets,
+    # from the full tables; `weights` on all N_y offsets too
     sin, cos = full_height_tables(kernel)
     left = np.hstack([sin * weights,
                       (1 - cos if which == "B" else -cos) * weights])
@@ -144,11 +162,15 @@ def test_half_tables_mirror_the_full_tables_bitwise(n_v, l_y, dy):
     # The kernel holds S and C on v > 0 alone, and every product reads
     # their v < 0 rows by `_parity`.  That reproduces the full tables to
     # the bit only if the mesh is symmetric, S odd and C even, to the last
-    # bit.  The committed configs' quadratures.
-    kernel = build_theta_kernel(PotentialProfile(segments=()), 0.0,
-                                VelocityMesh(n_v, 1 / max(n_v, 256)),
+    # bit.  The committed configs' quadratures, at a node where a step
+    # makes D_V = 1 at every offset, so the kernel keeps all N_y.
+    kernel = build_theta_kernel(PotentialProfile(segments=((0, 100, 1),)),
+                                0.0, VelocityMesh(n_v, 1 / max(n_v, 256)),
                                 QuadratureSpec(l_y=l_y, dy=dy))
     half, n_y = n_v // 2, kernel.quad.n_y
+    np.testing.assert_array_equal(kernel.diff, 1.0)
+    np.testing.assert_array_equal(kernel.live, np.arange(n_y))
+    assert kernel.tables[0].shape == (half, n_y)
     v = kernel.mesh.nodes
     np.testing.assert_array_equal(v[:half], -v[half:][::-1])
     sin, cos = full_height_tables(kernel)
@@ -159,6 +181,34 @@ def test_half_tables_mirror_the_full_tables_bitwise(n_v, l_y, dy):
     right = np.hstack([cos, sin])  # R = [C, S], mirrored by `_parity`
     np.testing.assert_array_equal(right[:half],
                                   right[half:][::-1] * _parity(n_y, n_y))
+
+
+@pytest.mark.parametrize("config, n_x, n_live", [("conv_x", 25, 53),
+                                                  ("conv_v", 100, 31),
+                                                  ("norms", None, 13)])
+def test_kernel_keeps_its_live_offsets(config, n_x, n_live):
+    # The tables and weights hold the offsets where D_V is nonzero at some
+    # node alone, the columns of the full ones there, bitwise: conv_x.cfg's
+    # 50-long device keeps y > 53 out of the barrier's reach from every
+    # node (53 of 64 kept), conv_v.cfg reaches it at all 31 offsets, and
+    # norms.cfg's node x = 10 at 13 of 62.
+    cfg = load_config(CONFIG_DIR / f"{config}.cfg")
+    x = (cfg.norm_position if n_x is None
+         else SpatialMesh(cfg.device_length, n_x).nodes)
+    kernel = build_theta_kernel(cfg.profile(), x,
+                                VelocityMesh(cfg.n_v, cfg.h), cfg.quad())
+    live = np.flatnonzero(
+        kernel.diff.reshape(-1, cfg.quad().n_y).any(axis=0))
+    assert len(live) == n_live
+    np.testing.assert_array_equal(kernel.live, live)
+    np.testing.assert_array_equal(np.delete(kernel.diff, live, axis=-1), 0.0)
+    half = cfg.n_v // 2
+    sin, cos = full_height_tables(kernel)
+    np.testing.assert_array_equal(kernel.tables[0], sin[half:, live])
+    np.testing.assert_array_equal(kernel.tables[1], cos[half:, live])
+    np.testing.assert_array_equal(kernel.weights,
+                                  full_weights(kernel)[..., live])
+    assert kernel.weights.shape == kernel.diff.shape[:-1] + (n_live,)
 
 
 def test_zero_potential_kernel(quad):
@@ -265,11 +315,8 @@ def test_factored_norm_matches_dense_svd(which, n_v, x):
     kernel = build_theta_kernel(barrier_profile(), x,
                                 VelocityMesh(n_v, 1 / n_v),
                                 QuadratureSpec(l_y=31, dy=0.5))
-    # the largest singular value of the dense matrix, as the square root of
-    # the largest eigenvalue of M^T M: a full SVD of M takes about three
-    # times as long at N_v = 2048, and the two agree to 1e-14 relative
-    m = materialize(kernel, which)
-    dense = np.sqrt(np.linalg.eigvalsh(m.T @ m)[-1])
+    # the largest singular value of the dense matrix (`dense_norm`)
+    dense = dense_norm(materialize(kernel, which))
     assert dense > 0
     assert abs(operator_norm(kernel, which) - dense) <= 1e-12 * dense
 
@@ -280,7 +327,7 @@ def full_height_norm(kernel, which):
     # is built in its sampled form, A's factors with the column 2 pi h / v
     # paired with -a, so it checks the factored 1 - C independently.
     left, right = full_height_factors(
-        kernel, "A" if which == "B" else which, kernel.weights)
+        kernel, "A" if which == "B" else which, full_weights(kernel))
     if which == "B":
         scale = 2 * np.pi * kernel.mesh.h / kernel.mesh.nodes
         left = np.column_stack([left, scale])
@@ -310,7 +357,7 @@ def test_parity_split_norm_matches_full_height_triangles(which, n_v, x):
 @settings(max_examples=60, deadline=None)
 @given(segments=st.lists(st.tuples(st.floats(-12, 12), st.floats(0, 6),
                                    st.floats(-1, 1).filter(
-                                       lambda v: abs(v) >= 1e-3)),
+                                       lambda v: abs(v) >= 1e-300)),
                          max_size=3),
        x=st.floats(-15, 15), n_v=st.sampled_from([2, 4, 8, 16, 32, 64, 128]),
        n_y=st.integers(1, 24), dy=st.sampled_from([0.25, 0.5, 1.0]),
@@ -323,12 +370,17 @@ def test_parity_split_norm_matches_full_height_triangles(which, n_v, x):
 # seven live offsets on N_v/2 = 2 positive velocities: wide triangles
 @example(segments=[(-1.5, 3.0, 0.2)], x=1.0, n_v=4, n_y=8, dy=0.5,
          window=2.0)
+# values whose M^T M underflows unless M is scaled first
+@example(segments=[(0.0, 1.0, 8.6e-179)], x=0.0, n_v=2, n_y=1, dy=1.0,
+         window=2.0)
+@example(segments=[(-1.5, 3.0, -1e-300)], x=1.0, n_v=64, n_y=24, dy=0.25,
+         window=4.0)
 def test_live_offset_norm_matches_dense_on_random_profiles(
         segments, x, n_v, n_y, dy, window):
     # piecewise-constant profiles (segments as start, width, value) at a
     # random node: the norm on the node's live offsets against the dense
-    # sampled operator's largest singular value.  Values are at least 1e-3
-    # in magnitude: the oracle's M^T M underflows below about 1e-154.
+    # sampled operator's largest singular value (`dense_norm`).  Values
+    # range in magnitude from 1 down to 1e-300.
     profile = PotentialProfile(
         segments=tuple((a, a + w, v) for a, w, v in segments))
     quad = QuadratureSpec(l_y=n_y * dy, dy=dy)
@@ -343,7 +395,7 @@ def test_live_offset_norm_matches_dense_on_random_profiles(
             np.testing.assert_array_equal(m, 0.0)
             assert norm == 0.0
             continue
-        dense = np.sqrt(np.linalg.eigvalsh(m.T @ m)[-1])
+        dense = dense_norm(m)
         assert abs(norm - dense) <= 1e-12 * dense
 
 
@@ -351,14 +403,25 @@ def test_live_offset_norm_matches_dense_on_random_profiles(
 def test_b_left_factor_bounded_uniformly(r_h):
     # norms.cfg's kernel: |sin(v y)| and |1 - cos(v y)| are at most |v| y,
     # so B's left factor is at most 2 pi h L_y whatever v is, while A's
-    # -2 pi h cos(v y) / v reaches 2 at the smallest velocity, v = pi h
+    # -2 pi h cos(v y) / v reaches 2 at the smallest velocity, v = pi h,
+    # and the smallest y.  At x = 10 only y = 17 ... 23 are live, so that
+    # reach is a property of the full-height factor on all N_y offsets;
+    # the package's factors are its columns on the live offsets, bitwise.
     cfg = load_config(CONFIG_DIR / "norms.cfg")
     kernel = build_theta_kernel(cfg.profile(), cfg.norm_position,
                                 VelocityMesh(2 * r_h, 1 / (2 * r_h)),
                                 cfg.quad())
     bound = 2 * np.pi * kernel.mesh.h * cfg.quad().l_y
-    assert np.abs(_thin_factors(kernel, "B")[0]).max() <= bound * (1 + 1e-14)
-    assert np.abs(_thin_factors(kernel, "A")[0]).max() >= 1.9
+    live = np.flatnonzero(kernel.diff)
+    np.testing.assert_array_equal(cfg.quad().offsets[live],
+                                  np.arange(17.0, 23.5, 0.5))
+    full = {w: full_height_factors(kernel, w)[0] for w in ("A", "B")}
+    for which, left in full.items():
+        np.testing.assert_array_equal(
+            _thin_factors(kernel, which)[0],
+            left[r_h:, np.r_[live, cfg.quad().n_y + live]])
+    assert np.abs(full["B"]).max() <= bound * (1 + 1e-14)
+    assert np.abs(full["A"]).max() >= 1.9
 
 
 @pytest.mark.parametrize("n_nodes", [3, 8])
@@ -374,9 +437,9 @@ def test_norm_of_stacked_kernel_rejected(barrier, quad, n_nodes):
 
 def test_norm_memory_guard_counts_the_factors(monkeypatch):
     # 36 MiB of physical memory: norms.cfg at R_h = 32768 (N_v = 65536)
-    # holds its 31 MiB of S and C tables (the v > 0 rows), but not the
-    # 9.8 MiB of a half-height live group (13 of the 62 offsets) and its QR
-    # copies on top
+    # passes the guard's 31 MiB of S and C tables (the v > 0 rows, counted
+    # on all 62 offsets), but not the 9.8 MiB of a half-height live group
+    # (13 of the 62 offsets) and its QR copies on top
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 36 * 2 ** 8}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     cfg = load_config(CONFIG_DIR / "norms.cfg")
@@ -418,7 +481,8 @@ def test_norms_level_factors_seven_blocks(monkeypatch, tmp_path):
 def test_norm_independent_of_the_order_asked(r_h):
     # each norm is bitwise the same whether asked first, last or alone on
     # a fresh kernel, and bitwise the 2 max_g |T_L,g T_R,g^T|_2 of the
-    # live columns (D_V != 0) of the groups of the whole thin factors
+    # groups of the whole thin factors, which hold the live columns
+    # (D_V != 0) alone
     cfg = load_config(CONFIG_DIR / "norms.cfg")
     mesh = VelocityMesh(2 * r_h, 1 / (2 * r_h))
 
@@ -426,17 +490,17 @@ def test_norm_independent_of_the_order_asked(r_h):
         return build_theta_kernel(cfg.profile(), cfg.norm_position, mesh,
                                   cfg.quad())
 
-    n_y = cfg.quad().n_y
+    n_j = np.count_nonzero(fresh().diff)
     for which in ("theta", "A", "B"):
         kernel = fresh()
         left = np.hstack([_left_group(kernel, which, g, kernel.weights)
                           for g in (0, 1)])
         right = _thin_factors(kernel, which)[1]
-        live = np.flatnonzero(kernel.diff)
+        assert left.shape == right.shape == (r_h, 2 * n_j)
         want = 2 * max(float(np.linalg.norm(
-            np.linalg.qr(left[:, g][:, live], mode="r")
-            @ np.linalg.qr(right[:, g][:, live], mode="r").T, 2))
-            for g in (slice(None, n_y), slice(n_y, None)))
+            np.linalg.qr(left[:, g], mode="r")
+            @ np.linalg.qr(right[:, g], mode="r").T, 2))
+            for g in (slice(None, n_j), slice(n_j, None)))
         assert want > 0
         assert operator_norm(fresh(), which) == want
         for order in itertools.permutations(("theta", "A", "B")):
