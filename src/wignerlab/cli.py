@@ -436,12 +436,9 @@ def run_norms(cfg: RunConfig, out_dir: Path) -> list[dict]:
     rows = []
     for r_h, (_, vmesh) in zip(levels, meshes):
         kernel = build_theta_kernel(profile, cfg.norm_position, vmesh, quad)
-        rows.append({
-            "r_h": r_h,
-            "norm_theta": operator_norm(kernel, "theta"),
-            "norm_A": operator_norm(kernel, "A"),
-            "norm_B": operator_norm(kernel, "B"),
-        })
+        norms = operator_norm(kernel)
+        rows.append({"r_h": r_h, "norm_theta": norms["theta"],
+                     "norm_A": norms["A"], "norm_B": norms["B"]})
     lines = ["r_h,norm_theta,norm_A,norm_B"]
     for row in rows:
         lines.append(f"{row['r_h']:g},{row['norm_theta']:.17g},"

@@ -39,9 +39,9 @@ v < 0 rows of a factor by one rule (`_parity`): row v_{-n-1} is row v_n
 with its odd columns negated.  An even/odd change of basis splits each
 operator into two blocks of order at most |J| (Cantoni & Butler, Linear
 Algebra Appl. 13, 1976), which `operator_norm` factors; at one node |J| is
-nnz(D_V(x, .)).  The factors are shared per kernel: R is the same for
-theta, A and B, and A's and B's first groups of L are one block, so the
-three norms at a node take seven QRs.
+nnz(D_V(x, .)).  It takes the three norms at a node in one call: R is
+the same for theta, A and B, and A's and B's first groups of L are one
+block, so the three take seven QRs.
 
 A kernel may stack several nodes' D_V along a leading axis, sampled in one
 call; the operators then act on each node's row of f with that node's
@@ -141,14 +141,6 @@ class WignerKernel:
         return np.sin(phase), np.cos(phase)
 
     @cached_property
-    def _norm_factors(self) -> dict:
-        """What `operator_norm` has computed at this node: the QR triangles
-        of R's column groups on the node's live offsets, keyed 0 (C) and 1
-        (S), each of order at most nnz(D_V), and the 2-norms of the group
-        products, keyed (operator, group)."""
-        return {}
-
-    @cached_property
     def weights(self) -> np.ndarray:  # the diagonal of W on the live offsets
         return -(self.quad.dy / np.pi) * self.diff[..., self.live]
 
@@ -161,8 +153,10 @@ def check_memory(n_v: int, n_y: int, extra: int = 0) -> None:
     need = 8 * n_y * (n_v + 2) + extra
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
+        size = (f"{need / 2**30:.1f}" if need < 2**1050  # fits in a float
+                else f"at least 2^{need.bit_length() - 31}")
         raise ResourceError(
-            f"N_v={n_v}, N_y={n_y} needs {need / 2**30:.1f} GiB; physical "
+            f"N_v={n_v}, N_y={n_y} needs {size} GiB; physical "
             f"memory is {have / 2**30:.1f} GiB")
 
 
@@ -283,8 +277,9 @@ def _thin_factors(kernel: WignerKernel,
     return np.hstack(left), np.hstack([cos, sin])
 
 
-def operator_norm(kernel: WignerKernel, which: str) -> float:
-    """Spectral norm (2-norm) of theta, A or B at one node.
+def operator_norm(kernel: WignerKernel) -> dict[str, float]:
+    """Spectral norms (2-norms) of theta, A and B at one node, keyed
+    "theta", "A" and "B".
 
     The mesh is symmetric, v_{-n-1} = -v_n, so with J reversing the v > 0
     half, Pi = [[J, -J], [I, I]] / sqrt(2) is orthogonal, and Pi^T X puts
@@ -304,22 +299,16 @@ def operator_norm(kernel: WignerKernel, which: str) -> float:
     D_V(x, y_j) != 0, alone, so each group has N_v/2 x nnz(D_V) columns,
     formed one group at a time, and each triangle has order at most
     nnz(D_V), not N_y.  A QR then costs O(N_v nnz^2) and the SVD of the
-    product has order nnz.  A node with no live offset has norm 0, with no
-    QR.
-
-    The factors are shared per kernel: R's two triangles serve all three
-    operators, and A's and B's first groups are one block, 2*pi*h S W / v,
-    so theta, A and B together take seven QRs, not twelve.  The kernel
-    keeps R's triangles and each group's norm as they are computed
-    (`WignerKernel._norm_factors`); every operator's norm is the same
-    whichever is asked first.  An overflow raises SolverError.
+    product has order nnz.  R's two triangles serve all three operators,
+    and A's and B's first groups are one block, 2*pi*h S W / v, so the
+    three norms take seven QRs.  A node with no live offset has norms 0,
+    with no QR.  An overflow raises SolverError naming the first of theta,
+    A and B whose norm left the range.
 
     Under mesh refinement (h -> 0 with the window fixed) the three norms
     behave differently: |theta|_2 <= 2 max|V|; |B|_2 stays uniformly
     bounded; |A|_2 grows like h^(-1/2), i.e. by sqrt(2) per halving of h.
     """
-    if which not in ("theta", "A", "B"):
-        raise ContractError(f"unknown operator {which!r}")
     if kernel.diff.ndim != 1:
         raise ContractError(
             f"operator_norm takes a one-node kernel, got nodes of shape "
@@ -327,36 +316,35 @@ def operator_norm(kernel: WignerKernel, which: str) -> float:
     n_v, nnz = kernel.mesh.n_v, len(kernel.live)
     # three arrays of N_v/2 rows and nnz columns: a column-major copy of a
     # group of L or R (or, while L's is formed, the columns it is formed
-    # from), QR's copy of it, and LAPACK's column-major copy; R's two cached
+    # from), QR's copy of it, and LAPACK's column-major copy; R's two
     # triangles, L's triangle, their product and its copy, of order at most
     # nnz
     check_memory(n_v, kernel.quad.n_y,
                  8 * (3 * (n_v // 2) * nnz + 5 * nnz ** 2))
     if nnz == 0:
-        return 0.0
-    cache = kernel._norm_factors
-    # A's and B's first groups are one block: their norms are one entry
-    keys = [("A" if which == "B" and g == 0 else which, g) for g in (0, 1)]
+        return {"theta": 0.0, "A": 0.0, "B": 0.0}
+    # QR hands LAPACK a column-major copy of its input, made one strided
+    # column at a time from a row-major array: a column-major group makes
+    # that copy contiguous
+    norms, groups, which = {}, [0.0, 0.0], "theta"
     try:
         with np.errstate(over="raise", invalid="raise"):
-            for key in keys:
-                if key not in cache:
-                    op, g = key
-                    # QR hands LAPACK a column-major copy of its input, made
-                    # one strided column at a time from a row-major array:
-                    # a column-major group makes that copy contiguous
-                    if g not in cache:  # R's group g, C or S, for all three
-                        cache[g] = np.linalg.qr(
-                            np.asfortranarray(kernel.tables[1 - g]), mode="r")
+            right = [np.linalg.qr(np.asfortranarray(table), mode="r")
+                     for table in kernel.tables[::-1]]  # C, then S
+            for which in ("theta", "A", "B"):
+                # B's first group is A's, 2*pi*h S W / v, left in groups[0]
+                for g in (1,) if which == "B" else (0, 1):
                     # L's group is a temporary, freed before its QR and
                     # before the next group is formed
                     left = np.asfortranarray(
-                        _left_group(kernel, op, g, kernel.weights))
+                        _left_group(kernel, which, g, kernel.weights))
                     left = np.linalg.qr(left, mode="r")
-                    cache[key] = np.linalg.norm(left @ cache[g].T, 2)
-            norm = float(2 * np.max([cache[key] for key in keys]))
-            if np.isfinite(norm):  # np.linalg's SVD ignores its own overflow
-                return norm
+                    groups[g] = np.linalg.norm(left @ right[g].T, 2)
+                norms[which] = float(2 * np.max(groups))
+                if not np.isfinite(norms[which]):  # np.linalg's SVD ignores
+                    break                          # its own overflow
+            else:
+                return norms
     except FloatingPointError:  # a factor product overflowed
         pass
     raise SolverError(f"{which} norm left the floating-point range")

@@ -174,17 +174,18 @@ class TestMain:
     @pytest.mark.parametrize("command", ["solve", "norms"])
     def test_huge_quadrature_fails_fast_with_resource_error(self, tmp_path,
                                                             capsys, command):
-        # dy = 2^-40 gives N_y = 2^43 quadrature nodes
-        cfg_file = tmp_path / "fine.cfg"
-        cfg_file.write_text(TINY_TEXT.replace("dy = 1.0",
-                                              "dy = 9.094947017729282e-13"))
-        start = time.perf_counter()
-        code = main([command, "--config", str(cfg_file), "--out",
-                     str(tmp_path / "out")])
-        assert time.perf_counter() - start < 5
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "physical memory" in err
+        # dy = 2^-40 gives N_y = 2^43 quadrature nodes; dy = 1e-300 gives
+        # N_y = 8e300, whose byte count is past the float range
+        for dy in ("9.094947017729282e-13", "1e-300"):
+            cfg_file = tmp_path / "fine.cfg"
+            cfg_file.write_text(TINY_TEXT.replace("dy = 1.0", f"dy = {dy}"))
+            start = time.perf_counter()
+            code = main([command, "--config", str(cfg_file), "--out",
+                         str(tmp_path / "out")])
+            assert time.perf_counter() - start < 5
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "physical memory" in err
 
     def test_zero_constraint_residual_gives_nan_aggregate(self, tmp_path,
                                                           capsys):
