@@ -27,18 +27,24 @@ at every node, so the solver runs GMRES on the nodes' weighted moments
 diag(w_i, w_i) R^T f_i: two per nonzero potential difference D_V(x_i, y_j),
 at most 2*|J| per node whatever N_v is, the inflow ends included, whose
 inflow rows the reduced products zero.  L and R have 2*|J| columns, so the
-table H of their products has order 2*|J|.  The velocity mesh is
-symmetric, so only the v > 0 rows of L and R are formed.  The sweep acts
+table H_+ of the products of their v > 0 rows has order 2*|J|.  The
+velocity mesh is symmetric, so only the v > 0 rows of L and R are formed,
+and the v < 0 table is H_+ with the signs of the columns' parity on both
+sides: an iteration multiplies the moments by H_+'s two groups of |J|
+rows, half the flops of one product with both tables.  The sweep acts
 along x alone, so it commutes with the products over v, and an iteration
-sweeps (N_x+1, 4*|J|) projections of the grid instead of the grid: its
-cost does not depend on N_v.  Because the discrete B[V] is bounded
-uniformly in the velocity mesh, the number of iterations of the 'improved'
-scheme does not grow as the mesh is refined either.
+sweeps at most (N_x+1, 4*|J|) projections of the grid instead of the
+grid, with the moments put in and read out through flat index maps
+formed once per solve: its cost does not depend on N_v.  Because the
+discrete B[V] is bounded uniformly in the velocity mesh, the number of
+iterations of the 'improved' scheme does not grow as the mesh is refined
+either.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 from typing import Callable
 
 import numpy as np
@@ -153,10 +159,15 @@ def assemble_system(profile: PotentialProfile, smesh: SpatialMesh,
     # N_x = 400, N_v = 2048): the solution, the residual check's product,
     # one band and its own thin factors, and the sweep's slab of 32 rows;
     # every node's differences, counted before any is sampled; two
-    # (N_v/2, cols) arrays, the v > 0 rows of the thin factors; H_+ and H,
-    # of cols rows and 3 cols columns; six (N_x+1, 4 N_y) projected arrays;
-    # and a Krylov basis of reduced vectors, at most cols live per node
-    check_memory(n_v, n_y, 8 * ((n_x + 1) * (6 * n_v + n_y + 6 * 4 * n_y)
+    # (N_v/2, cols) arrays, the v > 0 rows of the thin factors; H_+ and the
+    # two Gram matrices, within 3 cols^2; seven (N_x+1, 4 N_y) arrays of
+    # the iteration, whose live moments number at most (N_x+1) cols: the
+    # projections p, the moment grid and its two products (one and a
+    # half), the index maps `scatter` and `gather`, three int arrays of one
+    # entry per live moment, with the weights and signs there (two and a
+    # half), and one product's gathered pair and result (two); and a Krylov
+    # basis of reduced vectors, at most cols live per node
+    check_memory(n_v, n_y, 8 * ((n_x + 1) * (6 * n_v + n_y + 7 * 4 * n_y)
                                 + 2 * (n_v // 2) * cols + 3 * cols * cols
                                 + (MAX_ITERATIONS + 1) * (n_x + 1) * cols))
     dx = smesh.dx
@@ -267,28 +278,27 @@ def _lift(system: BlockSystem, data: np.ndarray, left: np.ndarray,
 
 def _coupling_products(left: np.ndarray,
                        right: np.ndarray) -> tuple[np.ndarray, float]:
-    """The table H = [-H_-, H_+] of the products H_s = L_s^T R_s of the
-    coupling's thin factors, and the spectral norm of the left factor L,
-    from the v > 0 rows `left` and `right` of L and R alone.
+    """The product H_+ = L_+^T R_+ of the v > 0 rows `left` and `right` of
+    the coupling's thin factors L and R, and the spectral norm of L, from
+    those rows alone.
 
     The mesh is symmetric, v_{-n-1} = -v_n, so with J reversing the v > 0
-    half, the v < 0 rows of L and of R are J L_+ diag(I, -I) and
-    J R_+ diag(I, -I): the first half of the columns of each is even in v
-    and the rest odd (`operators._parity`).  So H_- is H_+ with its
-    off-diagonal parity blocks negated, and L = [J L_1+, -J L_2+; L_1+,
-    L_2+], whose two column groups are orthogonal, has
-    ||L||_2 = sqrt(2) max_g ||L_g+||_2 (Cantoni & Butler, Linear Algebra
-    Appl. 13, 1976); each ||L_g+||_2 is the square root of the largest
-    eigenvalue of the Gram matrix L_g+^T L_g+, of order n_j, the number of
-    the kernel's live offsets, at least one.
+    half, the v < 0 rows of L and of R are J L_+ P and J R_+ P, with
+    P = diag(I, -I): the first half of the columns of each is even in v
+    and the rest odd (`operators._parity`).  So H_- = L_-^T R_- is
+    P H_+ P, H_+ with its off-diagonal parity blocks negated, and
+    L = [J L_1+, -J L_2+; L_1+, L_2+], whose two column groups are
+    orthogonal, has ||L||_2 = sqrt(2) max_g ||L_g+||_2 (Cantoni & Butler,
+    Linear Algebra Appl. 13, 1976); each ||L_g+||_2 is the square root of
+    the largest eigenvalue of the Gram matrix L_g+^T L_g+, of order n_j,
+    the number of the kernel's live offsets, at least one.  Both Gram
+    matrices go to one `eigvalsh` call.
     """
     n_j = right.shape[1] // 2
-    parity = _parity(n_j, n_j)
-    h = left.T @ right
-    gram = max(np.linalg.eigvalsh(left[:, g].T @ left[:, g])[-1]
-               for g in (slice(None, n_j), slice(n_j, None)))
-    return (np.hstack([-parity[:, None] * h * parity, h]),
-            float(np.sqrt(2 * gram)))
+    grams = np.stack([left[:, g].T @ left[:, g]
+                      for g in (slice(None, n_j), slice(n_j, None))])
+    gram = np.linalg.eigvalsh(grams)[:, -1].max()
+    return left.T @ right, float(np.sqrt(2 * gram))
 
 
 def _gmres(matvec, b: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
@@ -329,12 +339,12 @@ def _gmres(matvec, b: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
         k = 0
         while k < m:
             w = matvec(basis[k])
-            for _ in range(2):
-                h = basis[:k + 1] @ w
-                w -= h @ basis[:k + 1]
-                hess[:k + 1, k] += h
-            norm = float(np.linalg.norm(w))
-            col = hess[:k + 1, k].tolist() + [norm]
+            h = basis[:k + 1] @ w
+            w -= h @ basis[:k + 1]
+            again = basis[:k + 1] @ w
+            w -= again @ basis[:k + 1]
+            norm = math.sqrt(w @ w)  # np.linalg.norm's sum, bit for bit
+            col = (h + again).tolist() + [norm]
             for j in range(k):
                 col[j], col[j + 1] = (cs[j] * col[j] + sn[j] * col[j + 1],
                                       cs[j] * col[j + 1] - sn[j] * col[j])
@@ -397,12 +407,26 @@ def solve(system: BlockSystem) -> WignerSolution:
 
         W_i sum_s sum_j T_s^-1[i, j] H_s^T u_j,   H_s = L_s^T R_s,
 
-    with H_+ tabulated once and H_- from it (`_coupling_products`).  An
-    iteration sweeps the (N_x+1, 4 n_j) array of the [u_j H_-, u_j H_+]
-    and costs O((N_x+1) n_j^2) whatever N_v is.  The array's v < 0 half
-    runs backwards in x, so its row 0 holds both inflow rows, node 0's
-    v > 0 half and node N_x's v < 0 half: P zeroes that row.  A and B
-    share R and differ only in L, so both schemes run the same iteration.
+    with H_+ tabulated once (`_coupling_products`) and H_- = P H_+ P, P
+    the parity signs of the columns (`operators._parity`).  So with
+    e = u_1 H_1+ and o = u_2 H_2+, the products of the even and the odd
+    halves of u with H_+'s two groups of n_j rows, u H_+ = e + o and
+    -u H_- P = o - e: two products of n_j columns each, half the flops of
+    one with [-H_-, H_+].  An iteration sweeps the array of the
+    [-u_j H_- P, u_j H_+], 4 n_j columns on the rows up to the last that
+    a coupled node reads, and costs O(rows n_j^2) whatever N_v is; P
+    commutes with the sweep, so it is applied to the moments read out.
+    The array's v < 0 half runs backwards in x, so its row 0 holds both
+    inflow rows, node 0's v > 0 half and node N_x's v < 0 half: P zeroes
+    that row.  Its rows of uncoupled nodes are zero: in each half those
+    before the span of coupled nodes stay zero through the sweep, and
+    those past it, which no moment reads, are zeroed on every product, so
+    that no sweep compounds them.  The moments go into a moment grid on
+    the span of coupled nodes, and come out of the swept array, through
+    flat index maps formed once per solve; the grid, its products and the
+    array are allocated once per solve and dropped before the final
+    sweep.  A and B share R and differ only in L, so both schemes run the
+    same iteration.
     The sweep (`_sweep`), blocked along x, runs in place for both signs of
     v (T_- = -D J T_+ J) on `_sweep_blocks`.  The data sit on the two
     inflow rows alone (`BlockSystem.data`, read and written as the slices
@@ -427,32 +451,48 @@ def solve(system: BlockSystem) -> WignerSolution:
     left, right = _thin_factors(kernel, which)
     n_j = right.shape[1] // 2  # the kernel's live offsets
     parity = _parity(n_j, n_j)  # of L's and R's columns
-    weights = np.tile(kernel.weights, 2)  # the diagonals of the W_i
-    coupled = np.flatnonzero(weights.any(axis=-1))
-    weights = weights[coupled]
-    live = weights != 0
+    # none if no weight is live, or if every weight underflowed to zero
+    coupled = np.flatnonzero(kernel.weights.any(axis=-1))
+    first, last = coupled[[0, -1]] if coupled.size else (0, -1)
+    # `scatter` puts the live moments into the moment grid, u on the span of
+    # coupled nodes, and `weights` holds the W_i's diagonals there.  Arrays
+    # p of products with R hold [J (-D) y_- R_- P, y_+ R_+], the layout
+    # `_sweep` takes with sign 1 for both halves: D negates row 0 of p,
+    # which P zeroes, and `signs` applies P after the sweep.  `gather`
+    # reads node i's moments from p's rows N_x - i and i; the sweep stops
+    # at the last row read.
+    weights = np.tile(kernel.weights[first:last + 1], 2).ravel()
+    scatter = np.flatnonzero(weights)
+    weights = weights[scatter]
+    node, column = np.divmod(scatter, 2 * n_j)
+    node += first
+    gather = np.stack([(n_x - node) * 4 * n_j + column,
+                       node * 4 * n_j + 2 * n_j + column])
+    signs = parity[column]
+    swept = max(last, n_x - first) + 1
+    del node, column
 
-    def full(u: np.ndarray) -> np.ndarray:  # u at the coupled nodes
-        out = np.zeros(live.shape)
-        out[live] = u
-        return out
-
-    # Arrays p of products with R hold [J (-D) y_- R_-, y_+ R_+], the
-    # layout `_sweep` takes with sign 1 for both halves, and H is
-    # [-H_-, H_+] to match: D negates row 0 of p, which P zeroes.
-    def spread(u: np.ndarray) -> np.ndarray:  # p of y = P L u
-        x = full(u) @ h
-        p = np.zeros((n_x + 1, 4 * n_j))
-        p[n_x - coupled, :2 * n_j] = x[:, :2 * n_j]
-        p[coupled, 2 * n_j:] = x[:, 2 * n_j:]
-        p[0] = 0.0  # P
-        return p
-
-    def reduce(p: np.ndarray) -> np.ndarray:  # V^T y from p of y
-        # the sweep acts along x alone, so it commutes with R
+    def reduce(p: np.ndarray) -> np.ndarray:  # V^T y from p of y, live
         _sweep(blocks, p)
-        z = p[::-1, :2 * n_j] + p[:, 2 * n_j:]
-        return (weights * z[coupled])[live]
+        z = p.take(gather)
+        z[0] *= signs
+        z[0] += z[1]
+        return weights * z[0]
+
+    def project(u: np.ndarray) -> np.ndarray:  # V^T P L u
+        # u H_+ = e + o and -u H_- P = o - e by H_- = P H_+ P, with
+        # e = u_1 H_1+ and o = u_2 H_2+ on the groups of n_j rows of H_+
+        # (even and odd in v): two products of n_j columns, not one of 2 n_j
+        np.put(moments, scatter, u)
+        np.matmul(moments[:, :n_j], h[:n_j], out=even)
+        np.matmul(moments[:, n_j:], h[n_j:], out=odd)
+        np.add(even, odd, out=p[first:last + 1, 2 * n_j:])
+        minus = p[n_x - last:n_x - first + 1, :2 * n_j]
+        np.subtract(odd, even, out=minus[::-1])
+        # rows before the span stay zero through the sweep; past it, zero
+        p[last + 1:, 2 * n_j:] = p[n_x - first + 1:, :2 * n_j] = 0.0
+        p[0] = 0.0  # P
+        return reduce(p)
 
     exponent = np.frexp(np.abs(system.data).max())[1]
     data = np.ldexp(system.data, -exponent)
@@ -466,12 +506,19 @@ def solve(system: BlockSystem) -> WignerSolution:
                 rows = np.r_[:3, n_x - 2:n_x + 1]  # of b that can be nonzero
                 p = np.zeros((n_x + 1, 4 * n_j))  # of b
                 p[rows, 2 * n_j:] = b[rows, half:] @ right
-                p[n_x - rows, :2 * n_j] = (
-                    (b[rows, :half] @ right[::-1]) * -parity)
+                p[n_x - rows, :2 * n_j] = -(b[rows, :half] @ right[::-1])
+                p = p[:swept]  # the rows the gather reads
+                rhs = reduce(p)
+                p[:] = 0.0  # and p of every product after it
+                # allocated once: u's grid and its products e and o
+                moments = np.zeros((last - first + 1, 2 * n_j))
+                even, odd = np.empty((2,) + moments.shape)
                 u, iterations = _gmres(
-                    lambda u: u - reduce(spread(u)), reduce(p),
+                    lambda u: u - project(u), rhs,
                     GMRES_TOL * np.linalg.norm(b) / left_norm)
-                u = full(u)  # y = b + P L u
+                np.put(moments, scatter, u)
+                u = moments[coupled - first]  # y = b + P L u
+                del moments, even, odd, p, project, reduce
                 b[coupled, :half] += ((parity * u) @ left.T)[:, ::-1]
                 b[coupled, half:] += u @ left.T
             del left, right  # the residual check forms its own pair
@@ -511,7 +558,7 @@ def solution_to_csv(sol: WignerSolution, path) -> None:
     """Write `x,v,f` rows, one grid point per line, 17 significant digits."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x,v,f\n")
-        vs = sol.vmesh.nodes
-        for x, row in zip(sol.smesh.nodes, sol.values):
-            for v, f in zip(vs, row):
-                fh.write(f"{x:.17g},{v:.17g},{f:.17g}\n")
+        vs = sol.vmesh.nodes.tolist()
+        for x, row in zip(sol.smesh.nodes.tolist(), sol.values.tolist()):
+            fh.write("".join(f"{x:.17g},{v:.17g},{f:.17g}\n"
+                             for v, f in zip(vs, row)))

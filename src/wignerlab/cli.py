@@ -321,7 +321,8 @@ def _svg_plot(path: Path, curves, title: str) -> None:
         f'font-size="11">{y1:.6g}</text>',
     ]
     for k, (label, cx, cy) in enumerate(curves):
-        pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(cx, cy))
+        pts = " ".join(f"{x:.2f},{y:.2f}"
+                       for x, y in zip(sx(cx).tolist(), sy(cy).tolist()))
         color = colors[k % len(colors)]
         parts.append(f'<polyline points="{pts}" fill="none" '
                      f'stroke="{color}" stroke-width="1.5"/>')
@@ -355,8 +356,8 @@ def run_figure_comparison(cfg: RunConfig, out_dir: Path) -> dict:
             with open(slice_path, "w", encoding="utf-8") as fh:
                 fh.write(f"# x = {x_loc:.17g}\n")
                 fh.write("v,f\n")
-                for vv, ff in zip(v, sol.values[i]):
-                    fh.write(f"{vv:.17g},{ff:.17g}\n")
+                fh.write("".join(f"{vv:.17g},{ff:.17g}\n" for vv, ff in
+                                 zip(v.tolist(), sol.values[i].tolist())))
             curves.append((scheme, v, sol.values[i]))
         _svg_plot(out_dir / f"figure_{name}.svg", curves,
                   f"f(x={x_loc:.6g}, v)")

@@ -153,10 +153,15 @@ def check_memory(n_v: int, n_y: int, extra: int = 0) -> None:
     need = 8 * n_y * (n_v + 2) + extra
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
-        size = (f"{need / 2**30:.1f}" if need < 2**1050  # fits in a float
-                else f"at least 2^{need.bit_length() - 31}")
+        # in full up to 10^15, then to four digits
+        count = f"{n_y}" if n_y < 10**15 else f"{n_y:.4g}"
+        if need < 2**1050:  # fits in a float
+            size = need / 2**30
+            size = f"{size:.1f}" if size < 1e15 else f"{size:.4g}"
+        else:
+            size = f"at least 2^{need.bit_length() - 31}"
         raise ResourceError(
-            f"N_v={n_v}, N_y={n_y} needs {size} GiB; physical "
+            f"N_v={n_v}, N_y={count} needs {size} GiB; physical "
             f"memory is {have / 2**30:.1f} GiB")
 
 
@@ -270,8 +275,6 @@ def _thin_factors(kernel: WignerKernel,
     `_parity` gives the v < 0 rows.  The pair is the same at every node:
     the operator is L diag(w, w) R^T, its nodes' weights moved to the right.
     """
-    if which not in ("theta", "A", "B"):
-        raise ContractError(f"unknown operator {which!r}")
     sin, cos = kernel.tables
     left = [_left_group(kernel, which, g) for g in (0, 1)]
     return np.hstack(left), np.hstack([cos, sin])

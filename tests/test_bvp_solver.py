@@ -16,7 +16,7 @@ from wignerlab.bvp_solver import (RESIDUAL_TOL, BoundaryConditions,
                                   solve_bvp)
 from wignerlab.cli import load_config
 from wignerlab.errors import ConfigurationError, ResourceError, SolverError
-from wignerlab.operators import (VelocityMesh, _thin_factors,
+from wignerlab.operators import (VelocityMesh, _parity, _thin_factors,
                                  build_theta_kernel, operator_norm)
 from wignerlab.potential import PotentialProfile, barrier_profile
 from wignerlab.wigner_potential import QuadratureSpec
@@ -235,6 +235,51 @@ def test_solve_with_dead_offsets_matches_brute_force(barrier, scheme):
     assert np.abs(sol.values.ravel() - dense).max() <= 1e-11 * scale
 
 
+@pytest.mark.parametrize("scheme", ["original", "improved"])
+@pytest.mark.parametrize("segments, want", [
+    (((-4, -3, 0.2), (3, 4, 0.2)), [0, 1, 2, 3, 7, 8, 9, 10]),
+    (((-4, -3, 0.2), (1, 2, 0.2)), [0, 1, 2, 3, 5, 6, 7, 8]),
+], ids=["mirrored", "one-sided"])
+def test_coupled_nodes_with_a_gap_match_brute_force(scheme, segments, want,
+                                                    monkeypatch):
+    # At L_y = 2 a node is coupled only within 1 of a barrier's edge, so
+    # uncoupled nodes lie between the coupled ones.  The solver's index
+    # maps place each node's moments in the span of coupled nodes and in
+    # the projections' rows, mirrored for v < 0.  P L u is zero at every
+    # uncoupled node, so each product's projections are zero on their
+    # rows, past an off-centre span too, before every sweep: no row that
+    # no moment reads is swept again and again.  The dense assembly from
+    # the scheme's definition is the oracle, at criterion 6's bound.
+    profile = PotentialProfile(segments=segments)
+    smesh, vmesh = SpatialMesh(length=10, n_x=10), VelocityMesh(8, 1 / 32)
+    quad = QuadratureSpec(l_y=2, dy=0.5)
+    bc = gaussian_bc()
+    system = assemble_system(profile, smesh, vmesh, quad, scheme, bc)
+    coupled = np.flatnonzero(system.coupling.weights.any(axis=-1))
+    np.testing.assert_array_equal(coupled, want)
+    width = 4 * system.coupling.weights.shape[1]
+    projections = []
+    sweep = bvp_solver._sweep
+
+    def spy(blocks, z, sign=1.0):
+        if z.shape[1] == width:  # not the grid's halves, of N_v/2
+            projections.append(z.copy())
+        sweep(blocks, z, sign)
+
+    monkeypatch.setattr(bvp_solver, "_sweep", spy)
+    mat, rhs = brute_force_dense(profile, smesh, vmesh, quad, scheme, bc)
+    dense = np.linalg.solve(mat, rhs)
+    sol = solve(system)
+    assert sol.iterations > 0
+    uncoupled = np.setdiff1d(np.arange(11), coupled)
+    for p in projections[1:]:  # the first projects the right-hand side
+        rows = len(p)
+        assert not p[uncoupled[uncoupled < rows], width // 2:].any()
+        assert not p[10 - uncoupled[10 - uncoupled < rows], :width // 2].any()
+    scale = max(1.0, np.abs(dense).max())
+    assert np.abs(sol.values.ravel() - dense).max() <= 1e-11 * scale
+
+
 @settings(max_examples=60, deadline=None)
 @given(n_x=st.integers(4, 12), n_v=st.sampled_from([4, 6, 8, 10, 12, 14, 16]),
        height=st.floats(-2.0, 2.0), scheme=st.sampled_from(["original",
@@ -314,6 +359,24 @@ def test_constant_potential_needs_no_iterations(quad, scheme):
     assert sol.iterations == 0
 
 
+@pytest.mark.parametrize("scheme", ["original", "improved"])
+def test_weights_underflowed_to_zero_couple_no_node(quad, scheme):
+    # A barrier of the least subnormal height has nonzero differences, so
+    # its offsets are live, but every weight -dy D_V / pi rounds to zero:
+    # no node is coupled, the reduced system is empty, and the solve is
+    # the transport sweep alone, to the dense solve's bound.
+    system = assemble_system(barrier_profile(5e-324),
+                             SpatialMesh(length=10, n_x=4),
+                             VelocityMesh(4, 1 / 32), quad, scheme,
+                             gaussian_bc())
+    assert system.coupling.diff.any() and not system.coupling.weights.any()
+    sol = solve(system)
+    assert sol.iterations == 0
+    dense = np.linalg.solve(to_dense(system), full_rhs(system).ravel())
+    scale = max(1.0, np.abs(dense).max())
+    assert np.abs(sol.values.ravel() - dense).max() <= 1e-11 * scale
+
+
 def test_constant_potential_factors_nothing(quad, monkeypatch):
     # A constant potential has no live offset: the kernel's tables and
     # weights have no column, a solve is the transport sweep alone, with
@@ -383,8 +446,8 @@ def test_parity_split_products_match_full_height_factors(barrier, which,
     # is wide; at N_v = 24 it is tall.  The live columns of L and R built
     # on every velocity and offset from the full-height tables are the
     # oracle for what the solver builds from their v > 0 rows: H_+ as
-    # their product, H_- from it by the parity signs, and ||L||_2 from the
-    # two column groups.
+    # their product, H_- = P H_+ P from it by the parity signs P, which
+    # the solver's products use, and ||L||_2 from the two column groups.
     kernel = build_theta_kernel(barrier, 1.0, VelocityMesh(n_v, h),
                                 QuadratureSpec(l_y=4, dy=0.5))
     half = n_v // 2
@@ -392,13 +455,14 @@ def test_parity_split_products_match_full_height_factors(barrier, which,
     np.testing.assert_array_equal(live, np.arange(1, 8))
     left, right = (factor[:, np.r_[live, 8 + live]]
                    for factor in full_height_factors(kernel, which))
-    h_table, norm = _coupling_products(*_thin_factors(kernel, which))
-    cols = right.shape[1]
+    h_plus, norm = _coupling_products(*_thin_factors(kernel, which))
+    parity = _parity(7, 7)
     want_plus = left[half:].T @ right[half:]
     want_minus = left[:half].T @ right[:half]
     scale = np.abs(want_plus).max()
-    assert np.abs(h_table[:, cols:] - want_plus).max() <= 1e-13 * scale
-    assert np.abs(h_table[:, :cols] + want_minus).max() <= 1e-13 * scale
+    assert np.abs(h_plus - want_plus).max() <= 1e-13 * scale
+    assert (np.abs(parity[:, None] * h_plus * parity - want_minus).max()
+            <= 1e-13 * scale)
     want_norm = np.linalg.norm(left, 2)
     assert abs(norm - want_norm) <= 1e-13 * want_norm
 

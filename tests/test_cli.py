@@ -175,8 +175,12 @@ class TestMain:
     def test_huge_quadrature_fails_fast_with_resource_error(self, tmp_path,
                                                             capsys, command):
         # dy = 2^-40 gives N_y = 2^43 quadrature nodes; dy = 1e-300 gives
-        # N_y = 8e300, whose byte count is past the float range
-        for dy in ("9.094947017729282e-13", "1e-300"):
+        # N_y = 8e300, whose byte count is past the float range, and
+        # dy = 1e-200 gives N_y = 8e200, whose count fits in a float for
+        # `norms` (a solve's count of (2 N_y)^2 numbers does not).  Either
+        # way the message stays short: the counts are written to a few
+        # digits.
+        for dy in ("9.094947017729282e-13", "1e-300", "1e-200"):
             cfg_file = tmp_path / "fine.cfg"
             cfg_file.write_text(TINY_TEXT.replace("dy = 1.0", f"dy = {dy}"))
             start = time.perf_counter()
@@ -186,6 +190,7 @@ class TestMain:
             assert code == 1
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "physical memory" in err
+            assert len(err) < 200
 
     def test_zero_constraint_residual_gives_nan_aggregate(self, tmp_path,
                                                           capsys):
