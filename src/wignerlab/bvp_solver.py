@@ -53,8 +53,8 @@ from scipy.linalg import lu_factor, lu_solve
 
 from .errors import ConfigurationError, SolverError
 # `materialize` is not called here; the benchmark's tracer looks it up
-from .operators import (VelocityMesh, WignerKernel, _parity, _thin_factors,
-                        apply_A, apply_B, build_theta_kernel, check_memory,
+from .operators import (VelocityMesh, WignerKernel, _apply, _parity,
+                        _thin_factors, build_theta_kernel, check_memory,
                         materialize)
 from .potential import PotentialProfile
 from .wigner_potential import QuadratureSpec
@@ -67,6 +67,8 @@ RESIDUAL_TOL = 1e-10
 GMRES_TOL = 1e-13
 MAX_ITERATIONS = 300
 _BLOCK = 32  # sweep rows; 16 was slower at N_x = 25, 64 from N_x = 100 on
+# scheme -> the velocity operator its rows subtract
+_OPERATORS = {"original": "A", "improved": "B"}
 
 
 @dataclass(frozen=True)
@@ -135,7 +137,9 @@ class BlockSystem:
           x = -l/2, row 1 f_right on v < 0 at x = +l/2.  They sit on the
           inflow rows, the identity rows [0, N_v/2:] and [N_x, :N_v/2] of
           the grid, from which the coupling is left out; the right-hand
-          side is zero on every other row.
+          side is zero on every other row.  `solve` sweeps them as they
+          are: the transport sweep carries them along x, and keeps them on
+          the inflow rows.
     """
 
     coupling: WignerKernel
@@ -150,7 +154,7 @@ def assemble_system(profile: PotentialProfile, smesh: SpatialMesh,
                     vmesh: VelocityMesh, quad: QuadratureSpec,
                     scheme: str, bc: BoundaryConditions) -> BlockSystem:
     """Build the global system for the chosen scheme."""
-    if scheme not in ("original", "improved"):
+    if scheme not in _OPERATORS:
         raise ConfigurationError(f"unknown scheme {scheme!r}")
     n_x, n_v, n_y = smesh.n_x, vmesh.n_v, quad.n_y
     cols = 2 * n_y  # of the thin factors
@@ -191,9 +195,8 @@ def _apply_system(system: BlockSystem, values: np.ndarray) -> np.ndarray:
     time, subtracted on the reversed v < 0 half as T_- = -D J T_+ J (J
     reverses x, D negates the inflow row, the last); the inflow rows are
     identity rows, set last."""
-    apply_op = apply_A if system.scheme == "original" else apply_B
     n, half = system.smesh.n_x + 1, system.vmesh.n_v // 2
-    out = apply_op(system.coupling, values)
+    out = _apply(system.coupling, values, _OPERATORS[system.scheme])
     np.negative(out, out=out)
     neg, flipped = out[::-1, :half], values[::-1, :half]
     for k in (2, 1, 0):  # the subdiagonal a[j + k, j]
@@ -245,35 +248,6 @@ def _sweep(blocks: tuple[np.ndarray, np.ndarray], z: np.ndarray,
                              (step[:m, :m + 2], slice(s - 2, s + m), z[s - 1]))
         np.matmul(block[flip, flip], z[rows][flip], out=slab[:m])
         np.add(slab[:m], last, out=z[s:s + m][flip])
-
-
-def _lift(system: BlockSystem, data: np.ndarray, left: np.ndarray,
-          right: np.ndarray) -> np.ndarray:
-    """b = d - A d, the data moved to the right-hand side, as a new grid:
-    d is the grid that holds `data` (laid out as `BlockSystem.data`) on the
-    inflow rows and is zero elsewhere, and `left` and `right` are the v > 0
-    rows of the thin factors at weights 1.
-
-    d sits on node 0's v > 0 half and node N_x's v < 0 half alone.  The
-    stencil moves it into rows 1 and 2 of its sign, and each end's
-    coupling L W R^T into the other half of its row; the v < 0 rows of L
-    and R are J L_+ and J R_+ times the signs of `operators._parity`.  Every
-    other row of b, the inflow rows among them, is zero, so this costs
-    O(N_v n_j), n_j the kernel's live offsets, where the product with the
-    system costs a grid pass.
-    """
-    n_x, n_v = system.smesh.n_x, system.vmesh.n_v
-    half = n_v // 2
-    n_j = right.shape[1] // 2
-    parity = _parity(n_j, n_j)  # of L's and R's columns
-    w_0, w_n = np.tile(system.coupling.weights[[0, n_x]], 2)
-    d_0, d_n = data
-    b = np.zeros((n_x + 1, n_v))
-    b[1:3, half:] = -system.stencil[1:, :1] * d_0
-    b[n_x - 2:n_x, :half] = system.stencil[:0:-1, :1] * d_n
-    b[0, :half] = (left @ (parity * w_0 * (d_0 @ right)))[::-1]
-    b[n_x, half:] = left @ (parity * w_n * (d_n[::-1] @ right))
-    return b
 
 
 def _coupling_products(left: np.ndarray,
@@ -370,34 +344,36 @@ def solve(system: BlockSystem) -> WignerSolution:
     """Solve the assembled system by GMRES on the coupling's weighted
     moments.
 
-    The inflow rows are identity rows, so the inflow values are the data;
-    the rest solve A f = b, with the data moved to the right-hand side b,
-    whose inflow rows are then zero.  With T the upwind transport operator
-    (the coupling removed), whose inverse is the transport sweep,
-    A T^-1 = I - P L V^T: L is the left factor of `operators._thin_factors`
-    at each coupled node, the same at all of them, P zeroes the inflow
-    rows, and V^T is T^-1 followed by each node's weighted right factor,
-    u_i = W_i R^T (T^-1 y)_i with W_i = diag(w_i, w_i).  So
-    f = T^-1 (b + P L u) where
+    The system is A f = d, d the inflow data on the two inflow half rows
+    and zero elsewhere.  With T the upwind transport operator (the
+    coupling removed), whose inflow rows are identity rows and whose
+    inverse is the transport sweep, A = T - P L W R^T: L is the left factor
+    of `operators._thin_factors` at each coupled node, the same at all of
+    them, P zeroes the inflow rows, and W R^T is each node's weighted right
+    factor, W_i = diag(w_i, w_i).  So A T^-1 = I - P L V^T, with V^T the
+    sweep followed by W R^T, u_i = W_i R^T (T^-1 y)_i, and
+    f = T^-1 (d + P L u) where
 
-        (I - V^T P L) u = V^T b,
+        (I - V^T P L) u = V^T d,
 
-    the capacitance form of the Woodbury identity (Hager 1989).  u_i is
-    zero wherever node i's differences are, so GMRES solves for the
-    2 nnz(D_V) live entries of u alone, from u = 0, whatever N_v is.  L and
-    R hold the columns of the kernel's n_j live offsets alone
+    the capacitance form of the Woodbury identity (Hager 1989).  T^-1 d is
+    free streaming, and on the inflow rows it is d.  u_i is zero wherever
+    node i's differences are, so GMRES solves for the 2 nnz(D_V) live
+    entries of u alone, from u = 0, whatever N_v is.  L and R hold the
+    columns of the kernel's n_j live offsets alone
     (`operators.WignerKernel`), the offsets where some node's D_V is
     nonzero: u is zero off them, so dropping the others changes no
-    product.  With no offset live, nothing is coupled and f = T^-1 b, with
-    no iteration and no norm of L.  The true residual of A T^-1 y = b at
-    y = b + P L u is P L times the reduced residual, which is zero off the
+    product.  With no offset live, nothing is coupled and f = T^-1 d, with
+    no iteration and no norm of L.  The true residual of A T^-1 y = d at
+    y = d + P L u is P L times the reduced residual, which is zero off the
     live entries, and ||P|| <= 1, so GMRES stops at
-    GMRES_TOL ||b|| / ||L||_2, L on the live offsets: then the true
-    residual is at most GMRES_TOL times the norm of b, the forcing the data
-    exert on the interior rows.  On a fine mesh roundoff may set the
-    reduced residual's floor above that; GMRES stops there too, once a
-    restart makes no progress (`_gmres`), and the residual check below
-    decides.
+    GMRES_TOL ||a|| ||d|| / ||L||_2, L on the live offsets and a the
+    stencil's column 0 below the inflow row: then the true residual is at
+    most GMRES_TOL times ||a|| ||d||, the forcing the data exert through
+    the stencil on rows 1 and 2 of their sign.  On a fine mesh roundoff
+    may set the reduced residual's floor above that; GMRES stops there
+    too, once a restart makes no progress (`_gmres`), and the residual
+    check below decides.
 
     T^-1 acts along x alone and is the same for every v of one sign, so it
     commutes with the products over v (the mixed-product rule of Kronecker
@@ -430,15 +406,17 @@ def solve(system: BlockSystem) -> WignerSolution:
     The sweep (`_sweep`), blocked along x, runs in place for both signs of
     v (T_- = -D J T_+ J) on `_sweep_blocks`.  The data sit on the two
     inflow rows alone (`BlockSystem.data`, read and written as the slices
-    [0, half:] and [N_x, :half] of the grid), so b is the data moved by
-    the stencil into rows 1 and 2 of its sign and by the ends' couplings
-    into the other half of their rows: only those six rows are formed and
-    projected, in O(N_v n_j).  The grid is swept once, for f.
+    [0, half:] and [N_x, :half] of the grid), which together are row 0 of
+    the array, whose sign -D keeps: V^T d is that one row projected, in
+    O(N_v n_j), and swept.  The grid is swept once, for f, from y = P L u with the data on
+    its inflow rows; the sweep keeps row 0, as its leading block's row 0 is
+    e_0, so f equals the data there bit for bit.
 
     The data are divided by the power of two that brings their largest
     entry into [1/2, 1), so that no norm, the residual check's included,
     underflows or overflows; the values are multiplied back, and the
-    scaling is exact.  The residual check is the product of the whole
+    inflow rows set to the data again: dividing subnormal data rounds
+    them.  The residual check is the product of the whole
     system with f, independent of the reduced iteration, less the data on
     its two half rows, relative to the norm of the data.  Raises
     SolverError when GMRES reaches MAX_ITERATIONS, an operation overflows
@@ -447,8 +425,7 @@ def solve(system: BlockSystem) -> WignerSolution:
     """
     n_x, half = system.smesh.n_x, system.vmesh.n_v // 2
     kernel = system.coupling
-    which = "A" if system.scheme == "original" else "B"
-    left, right = _thin_factors(kernel, which)
+    left, right = _thin_factors(kernel, _OPERATORS[system.scheme])
     n_j = right.shape[1] // 2  # the kernel's live offsets
     parity = _parity(n_j, n_j)  # of L's and R's columns
     # none if no weight is live, or if every weight underflowed to zero
@@ -457,10 +434,11 @@ def solve(system: BlockSystem) -> WignerSolution:
     # `scatter` puts the live moments into the moment grid, u on the span of
     # coupled nodes, and `weights` holds the W_i's diagonals there.  Arrays
     # p of products with R hold [J (-D) y_- R_- P, y_+ R_+], the layout
-    # `_sweep` takes with sign 1 for both halves: D negates row 0 of p,
-    # which P zeroes, and `signs` applies P after the sweep.  `gather`
-    # reads node i's moments from p's rows N_x - i and i; the sweep stops
-    # at the last row read.
+    # `_sweep` takes with sign 1 for both halves: -D keeps row 0 of p, the
+    # inflow rows, which holds d in V^T d and which P zeroes in V^T P L u,
+    # and `signs` applies the parity P after the sweep.  `gather` reads
+    # node i's moments from p's rows N_x - i and i; the sweep stops at the
+    # last row read.
     weights = np.tile(kernel.weights[first:last + 1], 2).ravel()
     scatter = np.flatnonzero(weights)
     weights = weights[scatter]
@@ -499,15 +477,14 @@ def solve(system: BlockSystem) -> WignerSolution:
     try:
         with np.errstate(over="raise", invalid="raise"):
             blocks = _sweep_blocks(system.stencil)
-            b = _lift(system, data, left, right)
+            # y = d + P L u, swept in place into f
+            values = np.zeros((n_x + 1, system.vmesh.n_v))
             iterations = 0
-            if n_j:  # else nothing is coupled: f = T^-1 b
+            if n_j:  # else nothing is coupled: f = T^-1 d
                 h, left_norm = _coupling_products(left, right)
-                rows = np.r_[:3, n_x - 2:n_x + 1]  # of b that can be nonzero
-                p = np.zeros((n_x + 1, 4 * n_j))  # of b
-                p[rows, 2 * n_j:] = b[rows, half:] @ right
-                p[n_x - rows, :2 * n_j] = -(b[rows, :half] @ right[::-1])
-                p = p[:swept]  # the rows the gather reads
+                p = np.zeros((swept, 4 * n_j))  # of d: row 0, under -D too
+                p[0, 2 * n_j:] = data[0] @ right
+                p[0, :2 * n_j] = data[1] @ right[::-1]
                 rhs = reduce(p)
                 p[:] = 0.0  # and p of every product after it
                 # allocated once: u's grid and its products e and o
@@ -515,18 +492,18 @@ def solve(system: BlockSystem) -> WignerSolution:
                 even, odd = np.empty((2,) + moments.shape)
                 u, iterations = _gmres(
                     lambda u: u - project(u), rhs,
-                    GMRES_TOL * np.linalg.norm(b) / left_norm)
+                    GMRES_TOL * np.linalg.norm(system.stencil[1:, 0])
+                    * np.linalg.norm(data) / left_norm)
                 np.put(moments, scatter, u)
-                u = moments[coupled - first]  # y = b + P L u
+                u = moments[coupled - first]
                 del moments, even, odd, p, project, reduce
-                b[coupled, :half] += ((parity * u) @ left.T)[:, ::-1]
-                b[coupled, half:] += u @ left.T
+                values[coupled, :half] = ((parity * u) @ left.T)[:, ::-1]
+                values[coupled, half:] = u @ left.T
             del left, right  # the residual check forms its own pair
-            b[0, half:] = b[n_x, :half] = 0.0  # P; b is zero there
-            _sweep(blocks, b[::-1, :half], -1.0)
-            _sweep(blocks, b[:, half:])
-            values = b
+            # P, and d; the sweeps keep row 0, as the leading block's is e_0
             values[0, half:], values[n_x, :half] = data
+            _sweep(blocks, values[::-1, :half], -1.0)
+            _sweep(blocks, values[:, half:])
             rhs_norm = np.linalg.norm(data)
             residual = _apply_system(system, values)
             residual[0, half:] -= data[0]  # the right-hand side's rows

@@ -370,44 +370,42 @@ def run_figure_comparison(cfg: RunConfig, out_dir: Path) -> dict:
     return result
 
 
-def _convergence(cfg: RunConfig, out_dir: Path, study: str,
-                 axis: str) -> ExperimentReport:
-    """Sweep the study's levels per scheme and report each coarse level's
-    error against the finest."""
+def _report(cfg: RunConfig, out_dir: Path, study: str, axis: str,
+            measure) -> ExperimentReport:
+    """Sweep the study's levels per scheme and report `measure(levels,
+    solutions)`, the levels it reports and one number for each."""
     levels, meshes = _meshes(cfg, study)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = ExperimentReport(axis=axis)
     for scheme in cfg.schemes:
-        sols = _sweep(cfg, scheme, meshes)
-        report.add_scheme(scheme, levels[:-1],
-                          [l2_error(sol, sols[-1]) for sol in sols[:-1]])
+        report.add_scheme(scheme, *measure(levels,
+                                           _sweep(cfg, scheme, meshes)))
     (out_dir / "report.csv").write_text(report.to_csv(), encoding="utf-8")
     return report
+
+
+def _against_finest(levels: tuple, sols: tuple) -> tuple:
+    """Each coarse level's error against the finest."""
+    return levels[:-1], [l2_error(sol, sols[-1]) for sol in sols[:-1]]
 
 
 def run_v_convergence(cfg: RunConfig, out_dir: Path) -> ExperimentReport:
     """Velocity refinement sweep at fixed window: R_h = N_v/2 per level,
     errors against the finest level."""
-    return _convergence(cfg, out_dir, "conv-v", "velocity")
+    return _report(cfg, out_dir, "conv-v", "velocity", _against_finest)
 
 
 def run_x_convergence(cfg: RunConfig, out_dir: Path) -> ExperimentReport:
     """Spatial refinement sweep on a fixed velocity grid, errors against the
     finest level restricted to each coarse (nested) grid."""
-    return _convergence(cfg, out_dir, "conv-x", "space")
+    return _report(cfg, out_dir, "conv-x", "space", _against_finest)
 
 
 def run_constraint_study(cfg: RunConfig, out_dir: Path) -> ExperimentReport:
     """Constraint residual S over the velocity refinement sweep."""
-    levels, meshes = _meshes(cfg, "constraint")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report = ExperimentReport(axis="velocity")
-    for scheme in cfg.schemes:
-        sols = _sweep(cfg, scheme, meshes)
-        report.add_scheme(scheme, levels,
-                          [constraint_residual(sol) for sol in sols])
-    (out_dir / "report.csv").write_text(report.to_csv(), encoding="utf-8")
-    return report
+    return _report(cfg, out_dir, "constraint", "velocity",
+                   lambda levels, sols: (levels, [constraint_residual(sol)
+                                                  for sol in sols]))
 
 
 def run_solve(cfg: RunConfig, out_dir: Path) -> dict:
