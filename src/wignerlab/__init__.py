@@ -14,10 +14,9 @@ from .diagnostics import (ExperimentReport, constraint_residual,
 from .errors import (ConfigurationError, ContractError, ResourceError,
                      SolverError, WignerlabError)
 from .operators import (VelocityMesh, WignerKernel, apply_A, apply_B,
-                        apply_theta, build_theta_kernel, materialize,
-                        operator_norm)
+                        apply_theta, build_theta_kernel, operator_norm)
 from .potential import PotentialProfile, barrier_profile, potential_difference
-from .wigner_potential import QuadratureSpec, wigner_potential
+from .wigner_potential import QuadratureSpec
 
 __version__ = "0.1.0"
 
@@ -28,8 +27,8 @@ __all__ = [
     "ConfigurationError", "ContractError", "ResourceError", "SolverError",
     "WignerlabError",
     "VelocityMesh", "WignerKernel", "apply_A", "apply_B", "apply_theta",
-    "build_theta_kernel", "materialize", "operator_norm",
+    "build_theta_kernel", "operator_norm",
     "PotentialProfile", "barrier_profile", "potential_difference",
-    "QuadratureSpec", "wigner_potential",
+    "QuadratureSpec",
     "__version__",
 ]

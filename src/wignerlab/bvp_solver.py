@@ -53,9 +53,9 @@ from scipy.linalg import lu_factor, lu_solve
 
 from .errors import ConfigurationError, SolverError
 # `materialize` is not called here; the benchmark's tracer looks it up
-from .operators import (VelocityMesh, WignerKernel, _apply, _parity,
-                        _thin_factors, build_theta_kernel, check_memory,
-                        materialize)
+from .operators import (VelocityMesh, WignerKernel, _apply, _mirror,
+                        _parity, _project, _thin_factors, build_theta_kernel,
+                        check_memory, materialize)
 from .potential import PotentialProfile
 from .wigner_potential import QuadratureSpec
 
@@ -67,7 +67,8 @@ RESIDUAL_TOL = 1e-10
 GMRES_TOL = 1e-13
 MAX_ITERATIONS = 300
 _BLOCK = 32  # sweep rows; 16 was slower at N_x = 25, 64 from N_x = 100 on
-# scheme -> the velocity operator its rows subtract
+# scheme -> the velocity operator its rows subtract; the one table of
+# schemes, which the CLI's `both` runs in this order
 _OPERATORS = {"original": "A", "improved": "B"}
 
 
@@ -224,21 +225,17 @@ def _sweep_blocks(stencil: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lead, np.hstack([-carry, carry, interior])
 
 
-def _sweep(blocks: tuple[np.ndarray, np.ndarray], z: np.ndarray,
-           sign: float = 1.0) -> None:
+def _sweep(blocks: tuple[np.ndarray, np.ndarray], z: np.ndarray) -> None:
     """Overwrite z with the transport sweep T_+^-1 of every column of z (x
-    along the first axis), taken after multiplying its rows past the first
-    by `sign`; T_- = -D J T_+ J (J reverses x, D negates the inflow row), so
-    J T_-^-1 y is this sweep of J y with sign -1.  Block forward
-    substitution (Golub & Van Loan, Matrix Computations, 3.1) by 32 rows
-    on `_sweep_blocks`: block k > 0 is X (sign b_k - C z_{k-1}), C the
+    along the first axis).  T_- = -D J T_+ J (J reverses x, D negates the
+    inflow row), so J T_-^-1 y is this sweep of J (-D) y: a v < 0 half is
+    swept as a reversed view, its rows past the inflow row negated.  Block
+    forward substitution (Golub & Van Loan, Matrix Computations, 3.1) by
+    32 rows on `_sweep_blocks`: block k > 0 is X (b_k - C z_{k-1}), C the
     carry of z_{k-1}'s last rows z'', z', and as T_+'s rows sum to zero,
     -X C z_{k-1} = z' + a_2 (z' - z'') X e_0.  Adding z' last rounds z once;
     no carry of order z/dx cancels in z."""
     lead, step = blocks
-    if sign != 1.0:  # on the columns that take rows of b past the first
-        signs = np.r_[1.0, 1.0, np.full(_BLOCK, sign)]
-        lead, step = lead * signs[1:-1], step * signs
     # BLAS takes positive strides: a reversed z goes by reversed slabs
     flip = slice(None, None, -1 if z.strides[0] < 0 else 1)
     slab = np.empty((min(len(z), _BLOCK), z.shape[1]))
@@ -403,13 +400,15 @@ def solve(system: BlockSystem) -> WignerSolution:
     array are allocated once per solve and dropped before the final
     sweep.  A and B share R and differ only in L, so both schemes run the
     same iteration.
-    The sweep (`_sweep`), blocked along x, runs in place for both signs of
-    v (T_- = -D J T_+ J) on `_sweep_blocks`.  The data sit on the two
-    inflow rows alone (`BlockSystem.data`, read and written as the slices
-    [0, half:] and [N_x, :half] of the grid), which together are row 0 of
-    the array, whose sign -D keeps: V^T d is that one row projected, in
-    O(N_v n_j), and swept.  The grid is swept once, for f, from y = P L u with the data on
-    its inflow rows; the sweep keeps row 0, as its leading block's row 0 is
+    The sweep (`_sweep`), blocked along x, runs in place on
+    `_sweep_blocks`, and every array it sweeps holds [J (-D) y_-, y_+], as
+    T_- = -D J T_+ J.  The data sit on the two inflow rows alone
+    (`BlockSystem.data`, read and written as the slices [0, half:] and
+    [N_x, :half] of the grid), which together are row 0 of the array,
+    whose sign -D keeps: V^T d is that one row projected, in O(N_v n_j),
+    and swept.  The grid is swept once, for f, from y = P L u, formed by
+    `operators._mirror` with -D on its v < 0 half, and the data on its
+    inflow rows; the sweep keeps row 0, as its leading block's row 0 is
     e_0, so f equals the data there bit for bit.
 
     The data are divided by the power of two that brings their largest
@@ -434,9 +433,9 @@ def solve(system: BlockSystem) -> WignerSolution:
     # `scatter` puts the live moments into the moment grid, u on the span of
     # coupled nodes, and `weights` holds the W_i's diagonals there.  Arrays
     # p of products with R hold [J (-D) y_- R_- P, y_+ R_+], the layout
-    # `_sweep` takes with sign 1 for both halves: -D keeps row 0 of p, the
-    # inflow rows, which holds d in V^T d and which P zeroes in V^T P L u,
-    # and `signs` applies the parity P after the sweep.  `gather` reads
+    # `_sweep` takes for both halves: -D keeps row 0 of p, the inflow rows,
+    # which holds d in V^T d and which P zeroes in V^T P L u, and `signs`
+    # applies the parity P after the sweep.  `gather` reads
     # node i's moments from p's rows N_x - i and i; the sweep stops at the
     # last row read.
     weights = np.tile(kernel.weights[first:last + 1], 2).ravel()
@@ -483,8 +482,9 @@ def solve(system: BlockSystem) -> WignerSolution:
             if n_j:  # else nothing is coupled: f = T^-1 d
                 h, left_norm = _coupling_products(left, right)
                 p = np.zeros((swept, 4 * n_j))  # of d: row 0, under -D too
-                p[0, 2 * n_j:] = data[0] @ right
-                p[0, :2 * n_j] = data[1] @ right[::-1]
+                # row 0 of [J (-D) d_-, d_+] is the two inflow half rows
+                p[0, :2 * n_j], p[0, 2 * n_j:] = _project(
+                    np.hstack(data[::-1]), right)
                 rhs = reduce(p)
                 p[:] = 0.0  # and p of every product after it
                 # allocated once: u's grid and its products e and o
@@ -497,12 +497,12 @@ def solve(system: BlockSystem) -> WignerSolution:
                 np.put(moments, scatter, u)
                 u = moments[coupled - first]
                 del moments, even, odd, p, project, reduce
-                values[coupled, :half] = ((parity * u) @ left.T)[:, ::-1]
-                values[coupled, half:] = u @ left.T
+                # the v < 0 half under -D, the layout `_sweep` takes
+                values[coupled] = _mirror(u, left, -parity)
             del left, right  # the residual check forms its own pair
             # P, and d; the sweeps keep row 0, as the leading block's is e_0
             values[0, half:], values[n_x, :half] = data
-            _sweep(blocks, values[::-1, :half], -1.0)
+            _sweep(blocks, values[::-1, :half])
             _sweep(blocks, values[:, half:])
             rhs_norm = np.linalg.norm(data)
             residual = _apply_system(system, values)

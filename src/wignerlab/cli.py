@@ -36,11 +36,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .bvp_solver import (BoundaryConditions, SpatialMesh, solution_to_csv,
-                         solve_bvp)
+from .bvp_solver import (_OPERATORS, BoundaryConditions, SpatialMesh,
+                         solution_to_csv, solve_bvp)
 from .diagnostics import ExperimentReport, constraint_residual, l2_error
 from .errors import ConfigurationError, SolverError, WignerlabError
-from .operators import VelocityMesh, build_theta_kernel, operator_norm
+from .operators import (VelocityMesh, build_theta_kernel, check_aliasing,
+                        operator_norm)
 from .potential import PotentialProfile
 from .wigner_potential import QuadratureSpec
 
@@ -57,10 +58,6 @@ _FIELDS = {
     "norm_position": "norm_position",
 }
 _REQUIRED_KEYS = {"N_x", "N_v", "R_h", "Ly", "dy"}
-
-# config `scheme` -> the schemes a study runs
-_SCHEMES = {"original": ("original",), "improved": ("improved",),
-            "both": ("original", "improved")}
 
 # study -> (default refinement levels, fewest levels that give an order,
 # the (N_x, N_v, R_h) that one level solves at).  figure and solve read no
@@ -121,12 +118,9 @@ class RunConfig:
         SpatialMesh(length=self.device_length, n_x=self.n_x)
         VelocityMesh(n_v=self.n_v, h=self.h)
         self.quad()
-        if not self.l_y < self.r_h:
-            raise ConfigurationError(
-                f"aliasing guard violated: need Ly < R_h, got Ly={self.l_y} "
-                f"and R_h={self.r_h}")
+        check_aliasing(self.l_y, self.r_h)
         self.profile()
-        if self.scheme not in _SCHEMES:
+        if self.scheme != "both" and self.scheme not in _OPERATORS:
             raise ConfigurationError(
                 f"scheme must be original, improved or both, got "
                 f"{self.scheme!r}")
@@ -136,8 +130,9 @@ class RunConfig:
 
     @property
     def schemes(self) -> tuple:
-        """The schemes a study runs, `both` expanded."""
-        return _SCHEMES[self.scheme]
+        """The schemes a study runs: `both` is every scheme of the solver's
+        table, in its order."""
+        return tuple(_OPERATORS) if self.scheme == "both" else (self.scheme,)
 
     @property
     def h(self) -> float:

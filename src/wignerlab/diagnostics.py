@@ -24,7 +24,7 @@ import numpy as np
 
 from .bvp_solver import WignerSolution
 from .errors import ContractError
-from .operators import _parity
+from .operators import _mirror
 
 __all__ = ["l2_error", "convergence_order", "constraint_residual",
            "ExperimentReport"]
@@ -113,8 +113,8 @@ def constraint_residual(sol: WignerSolution) -> float:
     with V_w(x_i, v_n) = (S w_i)_n from the sine table S and the weights
     w_i of `sol.coupling`, the factors the solve used, and including the
     boundary nodes in the maximum.  The kernel holds S on v > 0 and on its
-    live offsets, where w_i can be nonzero; S is odd in v, so its v < 0 rows
-    follow by `operators._parity`.
+    live offsets, where w_i can be nonzero; S is odd in v, and
+    `operators._mirror` forms S w on the whole mesh.
     The h = dv/(2*pi) scaling expresses the moment in the units of the
     assembled operator rows, making values comparable across refinement
     levels; for a convergent scheme family S decays linearly in the mesh
@@ -125,10 +125,7 @@ def constraint_residual(sol: WignerSolution) -> float:
             or kernel.diff.shape[:-1] != (sol.smesh.n_x + 1,)):
         raise ContractError("the coupling does not match the solution's "
                             "velocity mesh and N_x + 1 nodes")
-    sin, _ = kernel.tables
-    w = kernel.weights
-    v_w = np.hstack([((_parity(0, sin.shape[1]) * w) @ sin.T)[:, ::-1],
-                     w @ sin.T])
+    v_w = _mirror(kernel.weights, kernel.tables[0], -1.0)
     return sol.vmesh.h * max(abs(float(np.dot(row, row_w)) * sol.vmesh.dv)
                              for row, row_w in zip(sol.values, v_w))
 

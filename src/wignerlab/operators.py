@@ -36,12 +36,13 @@ symmetric, v_{-n-1} = -v_n, so S is odd and C is even: theta is
 skew-centrosymmetric and A and B are centrosymmetric.  A kernel therefore
 holds S and C on the v > 0 velocities only, and every product reads the
 v < 0 rows of a factor by one rule (`_parity`): row v_{-n-1} is row v_n
-with its odd columns negated.  An even/odd change of basis splits each
-operator into two blocks of order at most |J| (Cantoni & Butler, Linear
-Algebra Appl. 13, 1976), which `operator_norm` factors; at one node |J| is
-nnz(D_V(x, .)).  It takes the three norms at a node in one call: R is
-the same for theta, A and B, and A's and B's first groups of L are one
-block, so the three take seven QRs.
+with its odd columns negated.  `_project` and `_mirror` alone take a
+factor's products on the v < 0 rows.  An even/odd change of basis splits
+each operator into two blocks of order at most |J| (Cantoni & Butler,
+Linear Algebra Appl. 13, 1976), which `operator_norm` factors; at one
+node |J| is nnz(D_V(x, .)).  It takes the three norms at a node in one
+call: R is the same for theta, A and B, and A's and B's first groups of L
+are one block, so the three take seven QRs.
 
 A kernel may stack several nodes' D_V along a leading axis, sampled in one
 call; the operators then act on each node's row of f with that node's
@@ -165,15 +166,21 @@ def check_memory(n_v: int, n_y: int, extra: int = 0) -> None:
             f"memory is {have / 2**30:.1f} GiB")
 
 
+def check_aliasing(l_y: float, r_h: float) -> None:
+    """Refuse a quadrature window L_y that reaches R_h = pi/dv: sin(v y),
+    sampled at the velocity spacing dv, aliases for offsets y past it."""
+    if not l_y < r_h:
+        raise ConfigurationError(
+            f"aliasing guard violated: need Ly < R_h, got Ly={l_y} and "
+            f"R_h={r_h}")
+
+
 def build_theta_kernel(profile: PotentialProfile, x, mesh: VelocityMesh,
                        quad: QuadratureSpec) -> WignerKernel:
     """Evaluate D_V at a node x, or at an array of nodes in one call, and
     package it as a kernel whose leading axes are those of x; each node's
     differences are bitwise those of its one-node kernel."""
-    if not quad.l_y < mesh.r_h:
-        raise ConfigurationError(
-            f"aliasing guard violated: need L_y < R_h, got "
-            f"L_y={quad.l_y} and R_h={mesh.r_h}")
+    check_aliasing(quad.l_y, mesh.r_h)
     check_memory(mesh.n_v, quad.n_y)
     diff = potential_difference(profile, np.expand_dims(x, -1), quad.offsets)
     return WignerKernel(diff=diff, quad=quad, mesh=mesh)
@@ -193,25 +200,46 @@ def _parity(n_even: int, n_odd: int) -> np.ndarray:
     and the other n_odd odd: the mesh is symmetric, v_{-n-1} = -v_n, so its
     row v_{-n-1} is row v_n times these signs.  On the |J| live offsets,
     R = [C, S] and the L of A and B, which divide by the odd v, take
-    (|J|, |J|), theta's L their negative, and S alone (0, |J|)."""
+    (|J|, |J|), and theta's L their negative."""
     return np.repeat([1.0, -1.0], [n_even, n_odd])
+
+
+def _mirror(m: np.ndarray, left: np.ndarray, signs) -> np.ndarray:
+    """Each row of m times L^T, L the factor whose v > 0 rows are `left`,
+    on the whole mesh: the v > 0 half is m left^T, and by the mirror rule
+    the v < 0 half is m, its columns times `signs` (`_parity`, or -1.0 for
+    a factor odd in v), times left^T with its columns reversed.  The v < 0
+    half comes first along the last axis, as on the mesh."""
+    half = len(left)
+    out = np.empty(m.shape[:-1] + (2 * half,))
+    np.matmul(m, left.T, out=out[..., half:])
+    np.matmul(signs * m, left[::-1].T, out=out[..., :half])
+    return out
+
+
+def _project(f: np.ndarray,
+             right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of f, on the whole mesh, times the factor R whose v > 0
+    rows are `right`: f_- J R_+ and f_+ R_+, J reversing the v > 0 half.
+    By the mirror rule f_- R_- is the first times `_parity`'s signs."""
+    half = len(right)
+    return f[..., :half] @ right[::-1], f[..., half:] @ right
 
 
 def _apply(kernel: WignerKernel, f, which: str) -> np.ndarray:
     """theta, A or B of each node of `kernel` applied to its row of f, as
-    L diag(w, w) R^T f through the v > 0 rows of the thin factors."""
+    L diag(w, w) R^T f through the v > 0 rows of the thin factors:
+    `_project` reads f's halves, and `_mirror` writes L's product on
+    both."""
     f = _check_length(kernel, f)
     left, right = _thin_factors(kernel, which)
-    half, n_j = len(right), right.shape[1] // 2  # n_j = |J|
+    n_j = right.shape[1] // 2  # |J|
     signs = _parity(n_j, n_j)
-    moments = np.tile(kernel.weights, 2) * (
-        f[..., half:] @ right + signs * (f[..., :half] @ right[::-1]))
-    out = np.empty(f.shape)
-    np.matmul(moments, left.T, out=out[..., half:])
+    minus, plus = _project(f, right)
+    moments = np.tile(kernel.weights, 2) * (plus + signs * minus)
+    del minus, plus  # before the output grid
     # theta's L, [S W, -C W], is not divided by the odd v: the reverse parity
-    np.matmul((-signs if which == "theta" else signs) * moments,
-              left[::-1].T, out=out[..., :half])
-    return out
+    return _mirror(moments, left, -signs if which == "theta" else signs)
 
 
 def apply_theta(kernel: WignerKernel, f) -> np.ndarray:

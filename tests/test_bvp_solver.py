@@ -14,6 +14,7 @@ from wignerlab.bvp_solver import (RESIDUAL_TOL, BoundaryConditions,
                                   assemble_system, solution_to_csv, solve,
                                   solve_bvp)
 from wignerlab.cli import load_config
+from wignerlab.diagnostics import l2_error
 from wignerlab.errors import ConfigurationError, ResourceError, SolverError
 from wignerlab.operators import (VelocityMesh, _parity, _thin_factors,
                                  build_theta_kernel, operator_norm)
@@ -263,10 +264,10 @@ def test_coupled_nodes_with_a_gap_match_brute_force(scheme, segments, want,
     projections = []
     sweep = bvp_solver._sweep
 
-    def spy(blocks, z, sign=1.0):
+    def spy(blocks, z):
         if z.shape[1] == width:  # not the grid's halves, of N_v/2
             projections.append(z.copy())
-        sweep(blocks, z, sign)
+        sweep(blocks, z)
 
     monkeypatch.setattr(bvp_solver, "_sweep", spy)
     mat, rhs = brute_force_dense(profile, smesh, vmesh, quad, scheme, bc)
@@ -463,12 +464,12 @@ def test_sweep_matches_band_solver_and_stencil(quad, n_x, amplitude):
                              gaussian_bc())
     stencil = system.stencil
     b = amplitude * np.random.default_rng(n_x).standard_normal((n_x + 1, 6))
-    z = b.copy()
-    blocks = _sweep_blocks(stencil)
-    _sweep(blocks, z[::-1, :3], -1.0)
-    _sweep(blocks, z[:, 3:])
     neg = -b[:, :3]
     neg[-1] *= -1
+    z = np.hstack([neg, b[:, 3:]])  # z[::-1, :3] is J (-D) b_-
+    blocks = _sweep_blocks(stencil)
+    _sweep(blocks, z[::-1, :3])
+    _sweep(blocks, z[:, 3:])
     want = np.hstack([solve_banded((0, 2), stencil[::-1, ::-1], neg),
                       solve_banded((2, 0), stencil, b[:, 3:])])
     product = _apply_system(system, z)
@@ -549,6 +550,38 @@ def test_refined_figure_solves_past_the_gmres_floor(scheme, n_x):
                     VelocityMesh(cfg.n_v, cfg.h), cfg.quad(), scheme,
                     cfg.boundary_conditions())
     assert sol.residual <= RESIDUAL_TOL
+
+
+def test_velocity_refinement_original_diverges_improved_converges():
+    # conv_v.cfg at N_x = 25, N_v = 1024 ... 8192, R_h = N_v / 2.  Measured:
+    # original's peak of |f| on the two nodes nearest v = 0 is 3.61, 6.76,
+    # 12.70, 23.96 (x1.87 to x1.89 per level, towards the x2 of 1/v_min),
+    # and its successive-level differences grow, 0.328, 0.435, 0.582, so
+    # it has no limit to converge to; improved's peak stays at 0.0815 to
+    # 0.0816, and its differences, 1.358e-4, 3.393e-5, 8.483e-6, fall by
+    # 4.001 and 4.000, second order.  Bounds: original's peak grows by 1.7
+    # to 2.1 per level and its differences by at least 1.2; improved's
+    # peak stays within 1% of its first level, under 0.1, and its
+    # differences fall by 3.8 to 4.2.
+    cfg = load_config(CONFIG_DIR / "conv_v.cfg")
+    for scheme in ("original", "improved"):
+        sols = [solve_bvp(cfg.profile(), SpatialMesh(cfg.device_length, 25),
+                          VelocityMesh(n_v, 1 / n_v), cfg.quad(), scheme,
+                          cfg.boundary_conditions())
+                for n_v in (1024, 2048, 4096, 8192)]
+        peaks = np.array([np.abs(s.values[:, s.vmesh.n_v // 2 - 1:
+                                          s.vmesh.n_v // 2 + 1]).max()
+                          for s in sols])
+        diffs = np.array([l2_error(a, b) for a, b in zip(sols, sols[1:])])
+        if scheme == "original":
+            assert np.all((1.7 <= peaks[1:] / peaks[:-1])
+                          & (peaks[1:] / peaks[:-1] <= 2.1))
+            assert np.all(diffs[1:] >= 1.2 * diffs[:-1])
+        else:
+            assert np.all(np.abs(peaks / peaks[0] - 1) <= 0.01)
+            assert peaks.max() < 0.1
+            ratios = diffs[:-1] / diffs[1:]
+            assert np.all((3.8 <= ratios) & (ratios <= 4.2))
 
 
 @pytest.mark.parametrize("scheme", ["original", "improved"])

@@ -149,7 +149,7 @@ def test_one_potential_evaluation_per_call(barrier, quad, monkeypatch):
         calls.append(np.shape(y))
         return potential_difference(profile, x, y)
 
-    # the package re-exports the function under the submodule's name
+    # patch the name where `wigner_potential` looks it up
     module = importlib.import_module("wignerlab.wigner_potential")
     monkeypatch.setattr(module, "potential_difference", counting)
     wigner_potential(barrier, 0.7, LATTICE, quad)
