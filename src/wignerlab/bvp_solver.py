@@ -39,6 +39,15 @@ formed once per solve: its cost does not depend on N_v.  Because the
 discrete B[V] is bounded uniformly in the velocity mesh, the number of
 iterations of the 'improved' scheme does not grow as the mesh is refined
 either.
+
+`solve` runs on one OpenBLAS thread (`operators.one_blas_thread`) and
+gives the caller's thread count back on return.  An iteration's products
+are a few MFLOP at most, too small for a second thread to gain on, and
+its worker spins while it waits, so two threads doubled a study's CPU time
+for no shorter wall time.  The second thread also splits sums, which
+rounds them differently: the iterates, the iteration count at the
+roundoff floor and the residual depended on the thread count, and on one
+thread they do not.
 """
 
 from __future__ import annotations
@@ -55,7 +64,7 @@ from .errors import ConfigurationError, SolverError
 # `materialize` is not called here; the benchmark's tracer looks it up
 from .operators import (VelocityMesh, WignerKernel, _apply, _mirror,
                         _parity, _project, _thin_factors, build_theta_kernel,
-                        check_memory, materialize)
+                        check_memory, materialize, one_blas_thread)
 from .potential import PotentialProfile
 from .wigner_potential import QuadratureSpec
 
@@ -337,6 +346,7 @@ def _gmres(matvec, b: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
         r = b - matvec(x)
 
 
+@one_blas_thread()
 def solve(system: BlockSystem) -> WignerSolution:
     """Solve the assembled system by GMRES on the coupling's weighted
     moments.
@@ -421,6 +431,10 @@ def solve(system: BlockSystem) -> WignerSolution:
     SolverError when GMRES reaches MAX_ITERATIONS, an operation overflows
     or gives NaN, or the relative residual of the whole system exceeds
     RESIDUAL_TOL.
+
+    Runs on one OpenBLAS thread (`operators.one_blas_thread`), so the
+    solution, the iteration count and the residual do not depend on the
+    caller's thread count.
     """
     n_x, half = system.smesh.n_x, system.vmesh.n_v // 2
     kernel = system.coupling

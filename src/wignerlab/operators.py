@@ -51,13 +51,22 @@ once; its right-hand side and GMRES iteration use the node-independent
 thin factors of `_thin_factors` directly.  `operator_norm` takes a
 one-node kernel.  `materialize` forms the dense matrices from the sampled
 `symbol` and `shift`; the tests hold the factored operators to it.
+
+`operator_norm` and the solver's `solve` do nearly all of the package's
+BLAS work, in products and QRs of a few MFLOP or less, and both run on one
+OpenBLAS thread (`one_blas_thread`): a second thread gains nothing there,
+spins while it waits, and rounds the sums it splits differently, so the
+results would depend on the thread count.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -164,6 +173,50 @@ def check_memory(n_v: int, n_y: int, extra: int = 0) -> None:
         raise ResourceError(
             f"N_v={n_v}, N_y={count} needs {size} GiB; physical "
             f"memory is {have / 2**30:.1f} GiB")
+
+
+@cache
+def _openblas() -> tuple | None:
+    """The get and set functions of the thread count of the OpenBLAS that
+    numpy loaded, found as `benchmarks/worker.py` finds it: the library
+    bundled in `numpy.libs` (`numpy/.dylibs` on macOS), under the symbols
+    of the scipy-openblas build or plain OpenBLAS's.  None when numpy
+    bundles no OpenBLAS.  Looked up once per process, in under a
+    millisecond."""
+    root = Path(np.__file__).parent
+    for path in sorted([*root.parent.glob("numpy.libs/*openblas*"),
+                        *root.glob(".dylibs/*openblas*")]):
+        lib = ctypes.CDLL(str(path))
+        for get, set_ in (("scipy_openblas_get_num_threads64_",
+                           "scipy_openblas_set_num_threads64_"),
+                          ("openblas_get_num_threads",
+                           "openblas_set_num_threads")):
+            if hasattr(lib, get) and hasattr(lib, set_):
+                get, set_ = getattr(lib, get), getattr(lib, set_)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block, or as a decorator the function, on one OpenBLAS
+    thread, and restore the caller's thread count on exit, also when the
+    block raises; a no-op when numpy bundles no OpenBLAS.  The count is the
+    process's, so the block is not for Python threads that use BLAS at the
+    same time."""
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
 
 
 def check_aliasing(l_y: float, r_h: float) -> None:
@@ -308,6 +361,7 @@ def _thin_factors(kernel: WignerKernel,
     return np.hstack(left), np.hstack([cos, sin])
 
 
+@one_blas_thread()
 def operator_norm(kernel: WignerKernel) -> dict[str, float]:
     """Spectral norms (2-norms) of theta, A and B at one node, keyed
     "theta", "A" and "B".
@@ -339,6 +393,8 @@ def operator_norm(kernel: WignerKernel) -> dict[str, float]:
     Under mesh refinement (h -> 0 with the window fixed) the three norms
     behave differently: |theta|_2 <= 2 max|V|; |B|_2 stays uniformly
     bounded; |A|_2 grows like h^(-1/2), i.e. by sqrt(2) per halving of h.
+
+    Runs on one OpenBLAS thread (`one_blas_thread`).
     """
     if kernel.diff.ndim != 1:
         raise ContractError(

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_banded
 
-from wignerlab import bvp_solver
+from wignerlab import bvp_solver, operators
 from wignerlab.bvp_solver import (RESIDUAL_TOL, BoundaryConditions,
                                   SpatialMesh, _apply_system,
                                   _coupling_products, _sweep, _sweep_blocks,
@@ -21,7 +21,7 @@ from wignerlab.operators import (VelocityMesh, _parity, _thin_factors,
 from wignerlab.potential import PotentialProfile, barrier_profile
 from wignerlab.wigner_potential import QuadratureSpec
 
-from test_operators import full_height_factors
+from test_operators import blas, full_height_factors  # noqa: F401
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -582,6 +582,70 @@ def test_velocity_refinement_original_diverges_improved_converges():
             assert peaks.max() < 0.1
             ratios = diffs[:-1] / diffs[1:]
             assert np.all((3.8 <= ratios) & (ratios <= 4.2))
+
+
+def test_solves_do_not_depend_on_the_blas_thread_count(blas):
+    # figure.cfg at N_x = 200, each scheme solved with the caller on two
+    # threads and on one.  Solved on the caller's threads, `original` took
+    # 60 iterations on two and 50 on one, and no solve's values or
+    # residual agreed bit for bit between the counts.
+    get, set_ = blas
+    cfg = load_config(CONFIG_DIR / "figure.cfg")
+    for scheme in ("original", "improved"):
+        sols = []
+        for threads in (2, 1):
+            set_(threads)
+            sols.append(solve_bvp(cfg.profile(),
+                                  SpatialMesh(cfg.device_length, n_x=200),
+                                  VelocityMesh(cfg.n_v, cfg.h), cfg.quad(),
+                                  scheme, cfg.boundary_conditions()))
+            assert get() == threads
+        two, one = sols
+        np.testing.assert_array_equal(two.values, one.values)
+        assert two.iterations == one.iterations
+        assert two.residual == one.residual
+
+
+def test_solve_runs_on_one_blas_thread(blas, barrier, monkeypatch):
+    # GMRES sees one thread, and the caller's two are back after the solve,
+    # also when it raises: at the iteration cap, and on overflow (a 1e150
+    # barrier, as test_overflowing_solve_exits_with_solver_error).
+    # N_x = 10 puts a node at x = 5, where the barrier couples velocities.
+    get, set_ = blas
+    seen = []
+    gmres = bvp_solver._gmres
+
+    def spy(matvec, b, tol):
+        seen.append(get())
+        return gmres(matvec, b, tol)
+
+    monkeypatch.setattr(bvp_solver, "_gmres", spy)
+
+    def tiny(profile):
+        return solve_bvp(profile, SpatialMesh(length=50, n_x=10),
+                         VelocityMesh(8, 1 / 32), QuadratureSpec(8, 1.0),
+                         "improved", gaussian_bc())
+
+    set_(2)
+    assert tiny(barrier).iterations > 0
+    assert seen == [1] and get() == 2
+    with pytest.raises(SolverError, match="floating-point range"):
+        tiny(barrier_profile(1e150))
+    assert get() == 2
+    monkeypatch.setattr(bvp_solver, "MAX_ITERATIONS", 2)
+    with pytest.raises(SolverError, match="did not converge"):
+        tiny(barrier)
+    assert get() == 2
+
+
+def test_solve_without_openblas(barrier, monkeypatch):
+    # with no OpenBLAS found, `solve` runs on the caller's threads and
+    # still solves
+    monkeypatch.setattr(operators, "_openblas", lambda: None)
+    sol = solve_bvp(barrier, SpatialMesh(length=50, n_x=10),
+                    VelocityMesh(16, 1 / 64), QuadratureSpec(8, 1.0),
+                    "original", gaussian_bc())
+    assert sol.iterations > 0 and sol.residual <= RESIDUAL_TOL
 
 
 @pytest.mark.parametrize("scheme", ["original", "improved"])

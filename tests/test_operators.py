@@ -7,13 +7,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import wignerlab.cli as cli
+from wignerlab import operators
 from wignerlab.bvp_solver import SpatialMesh
 from wignerlab.cli import load_config, run_norms
-from wignerlab.errors import ConfigurationError, ContractError, ResourceError
+from wignerlab.errors import (ConfigurationError, ContractError,
+                              ResourceError, SolverError)
 from wignerlab.operators import (VelocityMesh, _left_group, _parity,
                                  _thin_factors, apply_A, apply_B,
                                  apply_theta, build_theta_kernel,
-                                 materialize, operator_norm)
+                                 materialize, one_blas_thread, operator_norm)
 from wignerlab.potential import (PotentialProfile, barrier_profile,
                                  potential_difference)
 from wignerlab.wigner_potential import QuadratureSpec, wigner_potential
@@ -29,6 +31,18 @@ def barrier():
 @pytest.fixture
 def quad():
     return QuadratureSpec(l_y=4, dy=0.5)
+
+
+@pytest.fixture
+def blas():
+    """The get and set functions of the thread count of numpy's OpenBLAS,
+    the count before the test restored after it."""
+    blas = operators._openblas()
+    if blas is None:
+        pytest.skip("numpy bundles no OpenBLAS")
+    before = blas[0]()
+    yield blas
+    blas[1](before)
 
 
 def kernel_at(barrier, quad, x=10.0, n_v=8, h=1 / 16):
@@ -559,3 +573,46 @@ def test_unknown_operator_rejected(barrier, quad):
     kernel = kernel_at(barrier, quad)
     with pytest.raises(ContractError):
         materialize(kernel, "C")
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_one_blas_thread_restores_the_callers_count(blas, threads):
+    get, set_ = blas
+    set_(threads)
+    with one_blas_thread():
+        assert get() == 1
+    assert get() == threads
+    with pytest.raises(ZeroDivisionError), one_blas_thread():
+        assert get() == 1
+        1 / 0
+    assert get() == threads
+
+
+def test_norms_run_on_one_blas_thread(blas, barrier, quad, monkeypatch):
+    # every QR of the seven, and the caller's two threads after them, also
+    # when the norm overflows: |V| = 4e307 keeps D_V finite, but A's factor
+    # product leaves the range (test_overflowing_norm_exits_with_solver_error)
+    get, set_ = blas
+    seen = []
+    qr = np.linalg.qr
+
+    def spy(a, mode):
+        seen.append(get())
+        return qr(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", spy)
+    set_(2)
+    operator_norm(kernel_at(barrier, quad, x=1.0))
+    assert seen == [1] * 7 and get() == 2
+    huge = PotentialProfile(segments=((-1.0, 1.0, 4e307),))
+    with pytest.raises(SolverError, match="A norm"):
+        operator_norm(build_theta_kernel(huge, 1.0, VelocityMesh(64, 1 / 64),
+                                         QuadratureSpec(l_y=8, dy=1.0)))
+    assert get() == 2
+
+
+def test_norms_without_openblas(barrier, quad, monkeypatch):
+    # with no OpenBLAS found the block runs as it is
+    norms = operator_norm(kernel_at(barrier, quad, x=1.0))
+    monkeypatch.setattr(operators, "_openblas", lambda: None)
+    assert operator_norm(kernel_at(barrier, quad, x=1.0)) == norms
