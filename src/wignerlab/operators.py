@@ -41,8 +41,10 @@ factor's products on the v < 0 rows.  An even/odd change of basis splits
 each operator into two blocks of order at most |J| (Cantoni & Butler,
 Linear Algebra Appl. 13, 1976), which `operator_norm` factors; at one
 node |J| is nnz(D_V(x, .)).  It takes the three norms at a node in one
-call: R is the same for theta, A and B, and A's and B's first groups of L
-are one block, so the three take seven QRs.
+call, from the QR triangles of five weight-free tables alone: scaling
+columns commutes with QR (X = Q T gives X W = Q (T W)), so W scales the
+columns of the small triangles rather than of the N_v/2-row tables, and
+theta's two parity blocks S W C^T and -C W S^T are one up to a transpose.
 
 A kernel may stack several nodes' D_V along a leading axis, sampled in one
 call; the operators then act on each node's row of f with that node's
@@ -66,7 +68,6 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, cached_property
-from pathlib import Path
 
 import numpy as np
 
@@ -183,10 +184,15 @@ def _openblas() -> tuple | None:
     of the scipy-openblas build or plain OpenBLAS's.  None when numpy
     bundles no OpenBLAS.  Looked up once per process, in under a
     millisecond."""
-    root = Path(np.__file__).parent
-    for path in sorted([*root.parent.glob("numpy.libs/*openblas*"),
-                        *root.glob(".dylibs/*openblas*")]):
-        lib = ctypes.CDLL(str(path))
+    root = os.path.dirname(np.__file__)
+    paths = []
+    for folder in (os.path.join(os.path.dirname(root), "numpy.libs"),
+                   os.path.join(root, ".dylibs")):
+        if os.path.isdir(folder):
+            with os.scandir(folder) as entries:
+                paths += [e.path for e in entries if "openblas" in e.name]
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
         for get, set_ in (("scipy_openblas_get_num_threads64_",
                            "scipy_openblas_set_num_threads64_"),
                           ("openblas_get_num_threads",
@@ -331,19 +337,6 @@ def materialize(kernel: WignerKernel, which: str) -> np.ndarray:
     raise ContractError(f"unknown operator {which!r}")
 
 
-def _left_group(kernel: WignerKernel, which: str, group: int,
-                weights=1.0) -> np.ndarray:
-    """The v > 0 rows of column group 0 or 1 of theta's, A's or B's L (see
-    `_thin_factors`) on the kernel's live offsets, with `weights` for their
-    diagonal entries of W."""
-    sin, cos = kernel.tables
-    left = (sin if group == 0 else 1 - cos if which == "B" else -cos) * weights
-    left *= 2 * np.pi * kernel.mesh.h
-    if which != "theta":
-        left /= kernel.mesh.nodes[kernel.mesh.n_v // 2:, None]
-    return left
-
-
 def _thin_factors(kernel: WignerKernel,
                   which: str) -> tuple[np.ndarray, np.ndarray]:
     """Thin factors L and R of theta, A or B, the operator at a node being
@@ -357,8 +350,31 @@ def _thin_factors(kernel: WignerKernel,
     the operator is L diag(w, w) R^T, its nodes' weights moved to the right.
     """
     sin, cos = kernel.tables
-    left = [_left_group(kernel, which, g) for g in (0, 1)]
-    return np.hstack(left), np.hstack([cos, sin])
+    left = np.hstack([sin, 1 - cos if which == "B" else -cos])
+    left *= 2 * np.pi * kernel.mesh.h
+    if which != "theta":
+        left /= kernel.mesh.nodes[kernel.mesh.n_v // 2:, None]
+    return left, np.hstack([cos, sin])
+
+
+def _norm_tables(kernel: WignerKernel):
+    """The five weight-free tables of `operator_norm`, one at a time: the
+    v > 0 rows of C and S, R's two groups, and of A's and B's three
+    distinct groups of L at weights 1, 2*pi*h S / v, 2*pi*h C / v (the
+    negative of A's second) and 2*pi*h (1 - C) / v.  Each is yielded
+    transposed, row-major, so that its transpose is column-major: QR hands
+    LAPACK a column-major copy of its input, made one strided column at a
+    time from a row-major array.  The factor 2*pi*h / v_n = 2 / (2n + 1)
+    is at most 2, so no table overflows, whatever h is."""
+    sin, cos = kernel.tables
+    yield cos.T.copy()
+    yield sin.T.copy()
+    scale = kernel.mesh.dv / kernel.mesh.nodes[kernel.mesh.n_v // 2:]
+    yield sin.T * scale
+    yield cos.T * scale
+    table = 1 - cos.T
+    table *= scale
+    yield table
 
 
 @one_blas_thread()
@@ -377,18 +393,24 @@ def operator_norm(kernel: WignerKernel) -> dict[str, float]:
     and no block column (Cantoni & Butler, Linear Algebra Appl. 13, 1976),
     so
 
-        |op|_2 = 2 max_g |T_L,g T_R,g^T|_2,
+        |op|_2 = 2 max_g |T_L,g W T_R,g^T|_2,
 
     with T_L,g and T_R,g the QR triangles of the v > 0 rows of group g of L
-    and R.  The kernel's tables hold the node's live offsets, where
-    D_V(x, y_j) != 0, alone, so each group has N_v/2 x nnz(D_V) columns,
-    formed one group at a time, and each triangle has order at most
-    nnz(D_V), not N_y.  A QR then costs O(N_v nnz^2) and the SVD of the
-    product has order nnz.  R's two triangles serve all three operators,
-    and A's and B's first groups are one block, 2*pi*h S W / v, so the
-    three norms take seven QRs.  A node with no live offset has norms 0,
-    with no QR.  An overflow raises SolverError naming the first of theta,
-    A and B whose norm left the range.
+    at weights 1 and of R: scaling columns commutes with QR, X = Q T gives
+    X W = Q (T W), so W scales the columns of the triangles, not of the
+    N_v/2-row groups.  The kernel's tables hold the node's live offsets,
+    where D_V(x, y_j) != 0, alone, so each group has N_v/2 x nnz(D_V)
+    entries, formed one group at a time (`_norm_tables`), and each triangle
+    has order at most nnz(D_V), not N_y.  A QR then costs O(N_v nnz^2).
+    Five groups are distinct: R's C and S, and A's and B's three groups of
+    L; theta's first group, 2*pi*h S, is R's second with 2*pi*h moved into
+    W.  theta's two blocks, S W C^T and -C W S^T, are each other's negative
+    transpose, and A's and B's first blocks are one, so four products of
+    triangles, theta's, A's two and B's second, give the three norms, all
+    from one batched SVD.  A node with no live offset has norms 0, with no
+    QR.  The products are formed in the order of the operators, and an
+    overflow raises SolverError naming the first of theta, A and B whose
+    norm left the range.
 
     Under mesh refinement (h -> 0 with the window fixed) the three norms
     behave differently: |theta|_2 <= 2 max|V|; |B|_2 stays uniformly
@@ -401,37 +423,36 @@ def operator_norm(kernel: WignerKernel) -> dict[str, float]:
             f"operator_norm takes a one-node kernel, got nodes of shape "
             f"{kernel.diff.shape[:-1]}")
     n_v, nnz = kernel.mesh.n_v, len(kernel.live)
-    # three arrays of N_v/2 rows and nnz columns: a column-major copy of a
-    # group of L or R (or, while L's is formed, the columns it is formed
-    # from), QR's copy of it, and LAPACK's column-major copy; R's two
-    # triangles, L's triangle, their product and its copy, of order at most
-    # nnz
+    # three arrays of N_v/2 rows and nnz columns: a table (or, while the
+    # next is formed, the last), QR's copy of it and LAPACK's column-major
+    # copy, and the tables' column 2*pi*h / v; then, of order at most nnz,
+    # the five triangles, a scaled triangle, the four products and the
+    # SVD's copy of one
     check_memory(n_v, kernel.quad.n_y,
-                 8 * (3 * (n_v // 2) * nnz + 5 * nnz ** 2))
+                 8 * ((3 * nnz + 1) * (n_v // 2) + 11 * nnz ** 2))
     if nnz == 0:
         return {"theta": 0.0, "A": 0.0, "B": 0.0}
-    # QR hands LAPACK a column-major copy of its input, made one strided
-    # column at a time from a row-major array: a column-major group makes
-    # that copy contiguous
-    norms, groups, which = {}, [0.0, 0.0], "theta"
+    t_c, t_s, t_sv, t_cv, t_bv = (np.linalg.qr(table.T, mode="r")
+                                  for table in _norm_tables(kernel))
+    order = len(t_c)  # min(N_v/2, nnz)
+    products = np.empty((4, order, order))
+    formed = 0
     try:
         with np.errstate(over="raise", invalid="raise"):
-            right = [np.linalg.qr(np.asfortranarray(table), mode="r")
-                     for table in kernel.tables[::-1]]  # C, then S
-            for which in ("theta", "A", "B"):
-                # B's first group is A's, 2*pi*h S W / v, left in groups[0]
-                for g in (1,) if which == "B" else (0, 1):
-                    # L's group is a temporary, freed before its QR and
-                    # before the next group is formed
-                    left = np.asfortranarray(
-                        _left_group(kernel, which, g, kernel.weights))
-                    left = np.linalg.qr(left, mode="r")
-                    groups[g] = np.linalg.norm(left @ right[g].T, 2)
-                norms[which] = float(2 * np.max(groups))
-                if not np.isfinite(norms[which]):  # np.linalg's SVD ignores
-                    break                          # its own overflow
-            else:
-                return norms
+            w = kernel.weights
+            for left, scale, right in ((t_s, kernel.mesh.dv * w, t_c),
+                                       (t_sv, w, t_c), (t_cv, w, t_s),
+                                       (t_bv, w, t_s)):
+                np.matmul(left * scale, right.T, out=products[formed])
+                formed += 1
     except FloatingPointError:  # a factor product overflowed
         pass
-    raise SolverError(f"{which} norm left the floating-point range")
+    # np.linalg's SVD ignores its own overflow: the checks below see it
+    top = np.linalg.svd(products[:formed], compute_uv=False)[:, 0]
+    norms = {}
+    for which, blocks in (("theta", [0]), ("A", [1, 2]), ("B", [1, 3])):
+        norm = top[blocks].max() if blocks[-1] < formed else np.inf
+        if not norm <= np.finfo(float).max / 2:  # 2 * norm overflows, or NaN
+            raise SolverError(f"{which} norm left the floating-point range")
+        norms[which] = float(2 * norm)
+    return norms

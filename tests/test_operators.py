@@ -12,10 +12,10 @@ from wignerlab.bvp_solver import SpatialMesh
 from wignerlab.cli import load_config, run_norms
 from wignerlab.errors import (ConfigurationError, ContractError,
                               ResourceError, SolverError)
-from wignerlab.operators import (VelocityMesh, _left_group, _parity,
-                                 _thin_factors, apply_A, apply_B,
-                                 apply_theta, build_theta_kernel,
-                                 materialize, one_blas_thread, operator_norm)
+from wignerlab.operators import (VelocityMesh, _parity, _thin_factors,
+                                 apply_A, apply_B, apply_theta,
+                                 build_theta_kernel, materialize,
+                                 one_blas_thread, operator_norm)
 from wignerlab.potential import (PotentialProfile, barrier_profile,
                                  potential_difference)
 from wignerlab.wigner_potential import QuadratureSpec, wigner_potential
@@ -349,6 +349,44 @@ def full_height_norm(kernel, which):
     return np.linalg.norm(core, 2)
 
 
+def weighted_group_norms(kernel):
+    # the norms as seven QRs give them: each of theta's, A's and B's two
+    # left groups on the live offsets weighted before its QR, as
+    # (table * w) * 2 pi h, then divided by v for A and B, paired with the
+    # triangle of C or S; A's and B's first groups are one, so seven of the
+    # eight QRs are distinct
+    sin, cos = kernel.tables
+    v = kernel.mesh.nodes[kernel.mesh.n_v // 2:, None]
+    right = [np.linalg.qr(table, mode="r") for table in (cos, sin)]
+    norms = {}
+    for which in ("theta", "A", "B"):
+        groups = []
+        for g, table in enumerate((sin, 1 - cos if which == "B" else -cos)):
+            left = table * kernel.weights
+            left *= 2 * np.pi * kernel.mesh.h
+            if which != "theta":
+                left /= v
+            groups.append(np.linalg.norm(
+                np.linalg.qr(left, mode="r") @ right[g].T, 2))
+        norms[which] = 2 * max(groups)
+    return norms
+
+
+@pytest.mark.parametrize("r_h", [32, 256, 2048])
+def test_norm_matches_weighted_group_qrs(r_h):
+    # norms.cfg's kernel: weighting the five tables' triangles instead of
+    # the N_v/2-row groups changes the norms at roundoff only
+    cfg = load_config(CONFIG_DIR / "norms.cfg")
+    kernel = build_theta_kernel(cfg.profile(), cfg.norm_position,
+                                VelocityMesh(2 * r_h, 1 / (2 * r_h)),
+                                cfg.quad())
+    want = weighted_group_norms(kernel)
+    norms = operator_norm(kernel)
+    for which in ("theta", "A", "B"):
+        assert want[which] > 0
+        assert abs(norms[which] - want[which]) <= 1e-14 * want[which]
+
+
 @pytest.mark.parametrize("which", ["theta", "A", "B"])
 @pytest.mark.parametrize("n_v", [2, 8, 64, 1024])
 @pytest.mark.parametrize("x", [1.3, 15.0])
@@ -392,8 +430,9 @@ def test_live_offset_norm_matches_dense_on_random_profiles(
         segments, x, n_v, n_y, dy, window):
     # piecewise-constant profiles (segments as start, width, value) at a
     # random node: the norm on the node's live offsets against the dense
-    # sampled operator's largest singular value (`dense_norm`).  Values
-    # range in magnitude from 1 down to 1e-300.
+    # sampled operator's largest singular value (`dense_norm`), and against
+    # the seven weighted-group QRs (`weighted_group_norms`).  Values range
+    # in magnitude from 1 down to 1e-300.
     profile = PotentialProfile(
         segments=tuple((a, a + w, v) for a, w, v in segments))
     quad = QuadratureSpec(l_y=n_y * dy, dy=dy)
@@ -402,6 +441,7 @@ def test_live_offset_norm_matches_dense_on_random_profiles(
                                 quad)
     live = np.count_nonzero(kernel.diff)
     norms = operator_norm(kernel)
+    weighted = weighted_group_norms(kernel) if live else None
     for which in ("theta", "A", "B"):
         m = materialize(kernel, which)
         norm = norms[which]
@@ -411,6 +451,7 @@ def test_live_offset_norm_matches_dense_on_random_profiles(
             continue
         dense = dense_norm(m)
         assert abs(norm - dense) <= 1e-12 * dense
+        assert abs(norm - weighted[which]) <= 1e-14 * weighted[which]
 
 
 @pytest.mark.parametrize("r_h", [64, 2048, 32768])
@@ -451,7 +492,7 @@ def test_norm_of_stacked_kernel_rejected(barrier, quad, n_nodes):
 def test_norm_memory_guard_counts_the_factors(monkeypatch):
     # 36 MiB of physical memory: norms.cfg at R_h = 32768 (N_v = 65536)
     # passes the guard's 31 MiB of S and C tables (the v > 0 rows, counted
-    # on all 62 offsets), but not the 9.8 MiB of a half-height live group
+    # on all 62 offsets), but not the 10.0 MiB of a half-height live table
     # (13 of the 62 offsets) and its QR copies on top
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 36 * 2 ** 8}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
@@ -468,26 +509,60 @@ def test_norm_memory_guard_counts_the_factors(monkeypatch):
     assert peak < 2 ** 20
 
 
+def test_norm_memory_guard_covers_the_peak(monkeypatch):
+    # norms.cfg at R_h = 32768: the guard's count is at least the call's
+    # tracemalloc peak, with the tables formed in the call, and its count
+    # above the tables is at least the peak of a call on formed tables
+    counts = []
+    check = operators.check_memory
 
-def test_norms_level_factors_seven_blocks(monkeypatch, tmp_path):
-    # theta, A and B share R's triangles of C and S, and A's and B's first
-    # left groups are one block: five left blocks and two right ones, each
-    # of the N_v/2 = R_h positive velocities and the node's live offsets
-    calls = []
-    qr = np.linalg.qr
+    def counted(n_v, n_y, extra=0):
+        counts.append((8 * n_y * (n_v + 2), extra))
+        check(n_v, n_y, extra)
 
-    def counted(a, *args, **kwargs):
-        calls.append(a.shape)
-        return qr(a, *args, **kwargs)
+    cfg = load_config(CONFIG_DIR / "norms.cfg")
+    kernel = build_theta_kernel(cfg.profile(), cfg.norm_position,
+                                VelocityMesh(65536, 1 / 65536), cfg.quad())
+    monkeypatch.setattr(operators, "check_memory", counted)
+    peaks = []
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            operator_norm(kernel)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    (tables, extra), again = counts
+    assert again == (tables, extra)
+    assert tables + extra >= peaks[0] > peaks[1] > 2 ** 20
+    assert extra >= peaks[1]
 
-    monkeypatch.setattr(np.linalg, "qr", counted)
+
+def test_norms_level_factors_five_blocks(monkeypatch, tmp_path):
+    # the weights scale the triangles, so only the five weight-free tables
+    # are factored: R's C and S and the three distinct groups of A's and
+    # B's L, each of the N_v/2 = R_h positive velocities and the node's live
+    # offsets; the four products of triangles go to one batched SVD
+    calls = {"qr": [], "svd": []}
+
+    def spy(name):
+        call = getattr(np.linalg, name)
+
+        def counted(a, *args, **kwargs):
+            calls[name].append(a.shape)
+            return call(a, *args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, spy(name))
     cfg = load_config(CONFIG_DIR / "norms.cfg")
     run_norms(cfg, tmp_path)
-    assert len(calls) == 7 * len(cfg.levels)
     nnz = np.count_nonzero(potential_difference(
         cfg.profile(), cfg.norm_position, cfg.quad().offsets))
     assert nnz == 13 < cfg.quad().n_y
-    assert calls == [(r_h, nnz) for r_h in cfg.levels for _ in range(7)]
+    assert calls["qr"] == [(r_h, nnz) for r_h in cfg.levels
+                           for _ in range(5)]
+    assert calls["svd"] == [(4, nnz, nnz)] * len(cfg.levels)
 
 
 def test_norms_level_calls_operator_norm_once(monkeypatch, tmp_path):
@@ -509,26 +584,34 @@ def test_norms_level_calls_operator_norm_once(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("r_h", [32, 256])
 def test_norm_independent_of_the_order_asked(r_h):
-    # each norm of one call is bitwise the 2 max_g |T_L,g T_R,g^T|_2 of the
-    # groups of the whole thin factors, which hold the live columns
-    # (D_V != 0) alone
+    # each norm of one call is bitwise 2 max_g |T_L,g W T_R,g^T|_2, each
+    # product's 2-norm taken on its own, from the QR triangles of the five
+    # weight-free tables on the live columns (D_V != 0) alone: C and S, and
+    # S, C and 1 - C times 2 pi h / v.  theta's left group is S, with 2 pi h
+    # in W; its second block is minus the transpose of its first.
     cfg = load_config(CONFIG_DIR / "norms.cfg")
     kernel = build_theta_kernel(cfg.profile(), cfg.norm_position,
                                 VelocityMesh(2 * r_h, 1 / (2 * r_h)),
                                 cfg.quad())
-    n_j = np.count_nonzero(kernel.diff)
-    want = {}
-    for which in ("theta", "A", "B"):
-        left = np.hstack([_left_group(kernel, which, g, kernel.weights)
-                          for g in (0, 1)])
-        right = _thin_factors(kernel, which)[1]
-        assert left.shape == right.shape == (r_h, 2 * n_j)
-        want[which] = 2 * max(float(np.linalg.norm(
-            np.linalg.qr(left[:, g], mode="r")
-            @ np.linalg.qr(right[:, g], mode="r").T, 2))
-            for g in (slice(None, n_j), slice(n_j, None)))
-        assert want[which] > 0
+    sin, cos = kernel.tables
+    assert sin.shape == (r_h, np.count_nonzero(kernel.diff))
+    dv, w = kernel.mesh.dv, kernel.weights
+    scale = dv / kernel.mesh.nodes[r_h:, None]
+    t_c, t_s, t_sv, t_cv, t_bv = (
+        np.linalg.qr(table, mode="r")
+        for table in (cos, sin, sin * scale, cos * scale, (1 - cos) * scale))
+
+    def norm(left, right):
+        return float(np.linalg.norm(left @ right.T, 2))
+
+    a_0 = norm(t_sv * w, t_c)
+    want = {"theta": 2 * norm(t_s * (dv * w), t_c),
+            "A": 2 * max(a_0, norm(t_cv * w, t_s)),
+            "B": 2 * max(a_0, norm(t_bv * w, t_s))}
+    assert all(value > 0 for value in want.values())
     assert operator_norm(kernel) == want
+    theta_1 = 2 * norm(-t_c * (dv * w), t_s)
+    assert abs(theta_1 - want["theta"]) <= 1e-15 * want["theta"]
 
 
 def test_norm_asymptotics_at_scale():
@@ -589,7 +672,7 @@ def test_one_blas_thread_restores_the_callers_count(blas, threads):
 
 
 def test_norms_run_on_one_blas_thread(blas, barrier, quad, monkeypatch):
-    # every QR of the seven, and the caller's two threads after them, also
+    # every QR of the five, and the caller's two threads after them, also
     # when the norm overflows: |V| = 4e307 keeps D_V finite, but A's factor
     # product leaves the range (test_overflowing_norm_exits_with_solver_error)
     get, set_ = blas
@@ -603,7 +686,7 @@ def test_norms_run_on_one_blas_thread(blas, barrier, quad, monkeypatch):
     monkeypatch.setattr(np.linalg, "qr", spy)
     set_(2)
     operator_norm(kernel_at(barrier, quad, x=1.0))
-    assert seen == [1] * 7 and get() == 2
+    assert seen == [1] * 5 and get() == 2
     huge = PotentialProfile(segments=((-1.0, 1.0, 4e307),))
     with pytest.raises(SolverError, match="A norm"):
         operator_norm(build_theta_kernel(huge, 1.0, VelocityMesh(64, 1 / 64),
